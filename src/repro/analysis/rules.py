@@ -48,6 +48,13 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+#: numpy.random attributes that construct *local* generators rather
+#: than touching the module-global state.  SIM002 accepts them; simflow
+#: treats them as taint sources only when called without a seed.
+NUMPY_LOCAL_RNG = {"default_rng", "Generator", "SeedSequence", "PCG64",
+                   "Philox", "MT19937", "SFC64", "BitGenerator"}
+
+
 class Rule:
     """Base class: subclasses register themselves in :data:`RULES`."""
 
@@ -129,10 +136,6 @@ class GlobalRngRule(Rule):
         "vonmisesvariate", "paretovariate", "weibullvariate", "getstate",
         "setstate",
     }
-    #: numpy.random attributes that construct *local* seeded generators
-    #: rather than touching the module-global state.
-    _NUMPY_OK = {"default_rng", "Generator", "SeedSequence", "PCG64",
-                 "Philox", "MT19937", "SFC64", "BitGenerator"}
 
     def check(self, tree: ast.Module, source: str) -> Iterator[RawFinding]:
         # Names imported straight out of the stdlib random module
@@ -160,7 +163,7 @@ class GlobalRngRule(Rule):
                            f"unseeded {name}(); pass an explicit seed")
             elif (len(parts) >= 3 and parts[-2] == "random"
                     and parts[0] in ("np", "numpy")
-                    and parts[-1] not in self._NUMPY_OK):
+                    and parts[-1] not in NUMPY_LOCAL_RNG):
                 yield (node.lineno, node.col_offset,
                        f"{name}() uses numpy's global RNG state; use "
                        "np.random.default_rng(seed) or a repro.sim.rng "

@@ -12,8 +12,9 @@ model:
 
 **Sources** (taint enters):
   wall-clock reads (``time.time``/``datetime.now`` family), global-RNG
-  draws (``random.*``, ``numpy.random`` module state), salted builtin
-  ``hash()``, process-environment reads (``os.environ``, ``os.getenv``,
+  draws (``random.*``, ``numpy.random`` module state, and numpy
+  generators constructed without a seed), salted builtin ``hash()``,
+  process-environment reads (``os.environ``, ``os.getenv``,
   ``os.urandom``, ``os.getpid``, ``uuid.uuid4``), and unordered
   ``set`` contents materialized into a sequence (``list(s)``,
   ``iter(s)``, ``s.pop()``).
@@ -57,7 +58,7 @@ from repro.analysis.project import (
     ModuleInfo,
     Project,
 )
-from repro.analysis.rules import dotted_name
+from repro.analysis.rules import NUMPY_LOCAL_RNG, dotted_name
 from repro.analysis.simlint import Finding, suppressions
 
 # ------------------------------------------------------------------ sources
@@ -560,6 +561,10 @@ class _FunctionFlow:
             return {"global-rng": self._origin(node, f"{name}()")}
         if len(parts) >= 3 and parts[-2] == "random" and \
                 parts[0] in ("np", "numpy"):
+            if parts[-1] in NUMPY_LOCAL_RNG and self._has_seed(node):
+                # A local generator built from a seed (SIM002's allowed
+                # form): its draws carry only the seed's own taint.
+                return None
             return {"global-rng": self._origin(node, f"{name}()")}
         if name == "hash":
             taint = {"salted-hash": self._origin(node, "hash()")}
@@ -569,6 +574,13 @@ class _FunctionFlow:
         if name in ENV_CALLS or name in ("os.environ.get",):
             return {"process-env": self._origin(node, f"{name}()")}
         return None
+
+    @staticmethod
+    def _has_seed(node: ast.Call) -> bool:
+        """Whether a generator constructor call passes a non-None seed."""
+        values = list(node.args) + [kw.value for kw in node.keywords]
+        return any(not (isinstance(v, ast.Constant) and v.value is None)
+                   for v in values)
 
     def _check_sinks(self, node: ast.Call, name: Optional[str],
                      arg_taints: List[Taint],

@@ -7,13 +7,30 @@ centers (deterministic: initial centroids are the first ``k`` points).
 
 The guides' idioms apply: the inner kernel is fully vectorized
 (distance matrix via broadcasting, partial sums via ``np.add.at``-free
-bincount operations) and avoids copies.
+bincount operations) and avoids copies.  :func:`_assign` turns the one
+``(n, k)`` GEMM output into the distance matrix in place, so a call
+allocates no further ``(n, k)`` temporaries (at 10k points x 5k
+clusters each one was 400 MB).
+
+Compute once, simulate many: the payload math is real, but only the
+*simulated* time differs between RP and RP-YARN or between machines,
+so a sweep repeats identical :func:`_partial_sums` calls.  They go
+through one bounded, content-addressed LRU per process.  Its key is a
+sha256 over the callable's qualified name and each input's shape,
+dtype and contiguous bytes (never ids or addresses), so a hit returns
+exactly the bits a fresh computation would.  Hits are fresh copies,
+failed calls are not stored, and least recently used results are
+evicted once they hold more than :data:`MEMO_MAX_BYTES`.  The
+unmemoized function stays reachable as ``_partial_sums.__wrapped__``.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,12 +44,95 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     Uses the ||p-c||^2 = ||p||^2 - 2 p.c + ||c||^2 expansion: one GEMM
     instead of a (points x clusters x dim) temporary — the cache-friendly
     formulation the optimization guide prescribes.
+
+    Bit-identical to ``argmin(c_norm - 2.0 * cross)`` without its two
+    extra ``(n, k)`` temporaries: scaling by -2 is exact, and
+    ``a - b`` is ``a + (-b)`` under IEEE rounding.
     """
     cross = points @ centroids.T                       # (n, k)
     c_norm = (centroids * centroids).sum(axis=1)       # (k,)
-    return np.argmin(c_norm[None, :] - 2.0 * cross, axis=1)
+    cross *= -2.0
+    cross += c_norm
+    return np.argmin(cross, axis=1)
 
 
+#: Upper bound on the result bytes the payload memo holds per process.
+MEMO_MAX_BYTES = 64 * 2 ** 20
+
+
+class _PayloadMemo:
+    """Bounded, content-addressed LRU of pure array-function results."""
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self._entries: "OrderedDict[bytes, Tuple[np.ndarray, ...]]" = \
+            OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @staticmethod
+    def key(fn: Callable, arrays: Tuple[np.ndarray, ...]) -> bytes:
+        digest = hashlib.sha256(fn.__qualname__.encode())
+        for array in arrays:
+            digest.update(repr((array.shape, array.dtype.str)).encode())
+            digest.update(np.ascontiguousarray(array).data)
+        return digest.digest()
+
+    def get(self, key: bytes) -> Optional[Tuple[np.ndarray, ...]]:
+        stored = self._entries.get(key)
+        if stored is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._entries.move_to_end(key)
+        return tuple(array.copy() for array in stored)
+
+    def put(self, key: bytes, result: Tuple[np.ndarray, ...]) -> None:
+        stored = tuple(array.copy() for array in result)
+        size = sum(array.nbytes for array in stored)
+        if size > self.max_bytes:
+            return
+        self._entries[key] = stored
+        self.nbytes += size
+        while self.nbytes > self.max_bytes:
+            _, evicted = self._entries.popitem(last=False)
+            self.nbytes -= sum(array.nbytes for array in evicted)
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = self.hits = self.misses = 0
+
+
+_MEMO = _PayloadMemo(MEMO_MAX_BYTES)
+
+
+def _memoized(fn: Callable[..., Tuple[np.ndarray, ...]]
+              ) -> Callable[..., Tuple[np.ndarray, ...]]:
+    """Serve ``fn(*arrays)`` from :data:`_MEMO`; ``fn`` must be pure.
+
+    Inputs that are not plain numeric arrays (object dtypes would hash
+    addresses) bypass the memo.
+    """
+    @functools.wraps(fn)
+    def memoized(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+        if not all(isinstance(a, np.ndarray) and not a.dtype.hasobject
+                   for a in arrays):
+            return fn(*arrays)
+        key = _MEMO.key(fn, arrays)
+        result = _MEMO.get(key)
+        if result is None:
+            result = fn(*arrays)
+            _MEMO.put(key, result)
+        return result
+
+    return memoized
+
+
+@_memoized
 def _partial_sums(points: np.ndarray, centroids: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """(per-cluster coordinate sums, per-cluster counts) for one chunk."""

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analytics import generate_points, kmeans_reference
 from repro.analytics.kmeans import run_kmeans_pilot
 from repro.cluster.machine import stampede
 from repro.cluster.storage import StorageSpec
@@ -27,6 +26,7 @@ from repro.experiments.calibration import (
     CALIBRATED_RMS,
     agent_config,
 )
+from repro.experiments.figure6 import _points_for
 from repro.saga import Registry, Site
 from repro.sim import Environment
 
@@ -78,7 +78,7 @@ def sweep_lustre_bandwidth(
         points: int = 1_000_000, clusters: int = 50,
         ntasks: int = 32, nodes: int = 3) -> List[SensitivityRow]:
     """Run the sweep; returns one row per bandwidth point."""
-    data = generate_points(points, clusters, seed=1234)
+    data = _points_for(points, clusters)
     rows = []
     for bw_mb in bandwidths_mb or [10, 30, 100, 300]:
         bw = bw_mb * 1e6

@@ -104,6 +104,57 @@ def test_untainted_values_stay_quiet(tmp_path):
     assert analyze_paths([pkg]) == []
 
 
+def test_seeded_numpy_generator_is_not_a_source(tmp_path):
+    """A generator built from a seed (SIM002's allowed form) may feed a
+    digest; an unseeded one and the legacy module state may not."""
+    clean = build(tmp_path / "clean", mod=(
+        "import hashlib\n"
+        "import numpy as np\n"
+        "def fingerprint(seed):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    digest = hashlib.sha256()\n"
+        "    digest.update(rng.uniform(size=4).tobytes())\n"
+        "    return digest.hexdigest()\n"))
+    unseeded = build(tmp_path / "unseeded", mod=(
+        "import hashlib\n"
+        "import numpy as np\n"
+        "def fingerprint():\n"
+        "    rng = np.random.default_rng()\n"
+        "    digest = hashlib.sha256()\n"
+        "    digest.update(rng.uniform(size=4).tobytes())\n"
+        "    return digest.hexdigest()\n"
+        "def explicit_none():\n"
+        "    rng = np.random.default_rng(seed=None)\n"
+        "    return hashlib.sha256(rng.bytes(4)).hexdigest()\n"))
+    legacy = build(tmp_path / "legacy", mod=(
+        "import hashlib\n"
+        "import numpy as np\n"
+        "def fingerprint():\n"
+        "    digest = hashlib.sha256()\n"
+        "    digest.update(np.random.rand(4).tobytes())\n"
+        "    return digest.hexdigest()\n"))
+    assert analyze_paths([clean]) == []
+    assert codes(analyze_paths([unseeded])) == ["SIM102", "SIM102"]
+    (finding,) = analyze_paths([legacy])
+    assert finding.code == "SIM102"
+    assert "np.random.rand()" in finding.message
+
+
+def test_seeded_generator_keeps_its_seed_taint(tmp_path):
+    """The exemption covers the constructor only: a tainted seed still
+    reaches the sink through the generator's draws."""
+    pkg = build(tmp_path, mod=(
+        "import hashlib\n"
+        "import time\n"
+        "import numpy as np\n"
+        "def fingerprint():\n"
+        "    rng = np.random.default_rng(int(time.time()))\n"
+        "    return hashlib.sha256(rng.bytes(4)).hexdigest()\n"))
+    (finding,) = analyze_paths([pkg])
+    assert finding.code == "SIM102"
+    assert "wall-clock" in finding.message
+
+
 def test_inline_suppression_silences_flow_finding(tmp_path):
     pkg = build(tmp_path, mod=(
         "import time\n"
