@@ -3,17 +3,27 @@
 import pytest
 
 from repro.experiments.ablations import (
-    run_am_reuse,
-    run_integration_level,
-    run_spark_deploy_mode,
+    AmReuseRow,
+    IntegrationLevelRow,
+    SparkDeployRow,
 )
+from repro.experiments.sweeps import ablations_cells, run_sweep
 from repro.experiments.tables import format_table
+
+
+def _ablation_rows(kind, row_class):
+    """Run one cell of the ``ablations`` grid; its rows, rebuilt."""
+    cells = [c for c in ablations_cells() if c.kind == kind]
+    return [row_class(**r)
+            for r in run_sweep("ablations", jobs=1, cells=cells).rows()]
 
 
 @pytest.mark.figure("A1")
 def test_integration_level(benchmark):
     """Agent-level YARN integration (chosen) vs Pilot-Manager-level."""
-    rows = benchmark.pedantic(run_integration_level, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        _ablation_rows, args=("integration-level", IntegrationLevelRow),
+        rounds=1, iterations=1)
     by = {r.wiring: r for r in rows}
     # the rejected design is strictly slower per unit, before even
     # considering that firewalls usually forbid it outright
@@ -29,7 +39,9 @@ def test_integration_level(benchmark):
 @pytest.mark.figure("A2")
 def test_spark_deploy_mode(benchmark):
     """Spark standalone (chosen) vs Spark-on-YARN (two frameworks)."""
-    rows = benchmark.pedantic(run_spark_deploy_mode, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        _ablation_rows, args=("spark-deploy-mode", SparkDeployRow),
+        rounds=1, iterations=1)
     by = {r.mode: r for r in rows}
     assert by["standalone"].cluster_ready < by["spark-on-yarn"].cluster_ready
     assert by["spark-on-yarn"].frameworks_started == 2
@@ -83,7 +95,9 @@ def test_am_reuse_on_kmeans_workload(benchmark):
 def test_am_reuse(benchmark):
     """AM re-use: the optimization §IV-A says "will reduce the startup
     time significantly" — implemented and measured."""
-    rows = benchmark.pedantic(run_am_reuse, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        _ablation_rows, args=("am-reuse", AmReuseRow),
+        rounds=1, iterations=1)
     by = {r.mode: r for r in rows}
     saving = (by["per-unit AM"].warm_unit_startup
               - by["re-used AM"].warm_unit_startup)

@@ -11,29 +11,19 @@ Regenerates both panels:
 
 import pytest
 
-from repro.experiments import (
-    run_figure5_pilot_startup,
-    run_figure5_unit_startup,
-)
+from repro.experiments.figure5 import split_rows
+from repro.experiments.sweeps import run_sweep
 from repro.experiments.tables import PAPER_TARGETS, figure5_report
 
-#: The inset rows, computed once per module: the unit-startup benchmark
-#: fills it, and the pilot-startup report reuses it instead of paying a
-#: second full harness run just to print the table.
-_UNIT_ROWS_CACHE = []
 
-
-def _unit_rows():
-    if not _UNIT_ROWS_CACHE:
-        _UNIT_ROWS_CACHE.append(run_figure5_unit_startup())
-    return _UNIT_ROWS_CACHE[0]
+def _figure5_panels():
+    """One ``figure5`` sweep: both panels' rows."""
+    return split_rows(run_sweep("figure5", jobs=1).rows())
 
 
 @pytest.mark.figure("5-inset")
 def test_unit_startup(benchmark):
-    rows = benchmark.pedantic(run_figure5_unit_startup,
-                              rounds=1, iterations=1)
-    _UNIT_ROWS_CACHE.append(rows)  # share with the pilot-startup report
+    _, rows = benchmark.pedantic(_figure5_panels, rounds=1, iterations=1)
     by = {(r.machine, r.flavor): r.unit_startup for r in rows}
 
     # paper inset: RP CU startup is a few seconds; RP-YARN is tens of
@@ -49,8 +39,8 @@ def test_unit_startup(benchmark):
 
 @pytest.mark.figure("5-main")
 def test_pilot_startup(benchmark):
-    rows = benchmark.pedantic(run_figure5_pilot_startup,
-                              rounds=1, iterations=1)
+    rows, unit_rows = benchmark.pedantic(_figure5_panels,
+                                         rounds=1, iterations=1)
     plain = {r.machine: r.pilot_startup for r in rows if r.flavor == "RP"}
     mode1 = {r.machine: r.pilot_startup for r in rows
              if r.flavor.endswith("(Mode I)")}
@@ -75,4 +65,4 @@ def test_pilot_startup(benchmark):
     for row in rows:
         benchmark.extra_info[f"{row.machine}/{row.flavor}"] = round(
             row.pilot_startup, 1)
-    print("\n" + figure5_report(rows, _unit_rows()))
+    print("\n" + figure5_report(rows, unit_rows))

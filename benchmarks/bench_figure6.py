@@ -23,13 +23,18 @@ off to reproduce the net YARN advantage — shows a mild one).
 
 import pytest
 
-from repro.experiments.figure6 import run_figure6, speedup
+from repro.experiments.figure6 import KMeansRow, speedup
+from repro.experiments.sweeps import run_sweep
 from repro.experiments.tables import figure6_report
+
+
+def _figure6_rows():
+    return [KMeansRow(**r) for r in run_sweep("figure6", jobs=1).rows()]
 
 
 @pytest.mark.figure("6")
 def test_kmeans_grid(benchmark):
-    rows = benchmark.pedantic(run_figure6, rounds=1, iterations=1)
+    rows = benchmark.pedantic(_figure6_rows, rounds=1, iterations=1)
     assert len(rows) == 36
     assert all(r.centroids_ok for r in rows)
 

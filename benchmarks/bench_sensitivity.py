@@ -10,20 +10,19 @@ the hybrid deployment is worth it.
 
 import pytest
 
-from repro.experiments.sensitivity import (
-    crossover_bandwidth,
-    sweep_lustre_bandwidth,
-)
+from repro.experiments.sensitivity import crossover_bandwidth, pair_rows
+from repro.experiments.sweeps import run_sweep, sensitivity_cells
 from repro.experiments.tables import format_table
 
-BANDWIDTHS_MB = [10.0, 30.0, 100.0, 400.0]
+
+def _sensitivity_rows():
+    cells = sensitivity_cells(bandwidths_mb=[10, 30, 100, 400])
+    return pair_rows(run_sweep("sensitivity", jobs=1, cells=cells).rows())
 
 
 @pytest.mark.figure("S1")
 def test_lustre_bandwidth_sweep(benchmark):
-    rows = benchmark.pedantic(
-        sweep_lustre_bandwidth, kwargs={"bandwidths_mb": BANDWIDTHS_MB},
-        rounds=1, iterations=1)
+    rows = benchmark.pedantic(_sensitivity_rows, rounds=1, iterations=1)
     # advantage decreases monotonically as the shared FS improves
     advantages = [r.yarn_advantage for r in
                   sorted(rows, key=lambda r: r.lustre_bw)]

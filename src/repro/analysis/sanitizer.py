@@ -2,10 +2,9 @@
 
 simlint (:mod:`repro.analysis.simlint`) checks determinism hazards *by
 construction*; this module checks the stack's accounting invariants
-*in motion*.  It generalizes what used to be scattered opt-in
-``debug=True`` branches (the continuous scheduler's counter
-cross-check, the bandwidth pipe's dual-accounting ledger) into one
-composable mechanism:
+*in motion*.  It is the one home of the stack's runtime checks (the
+continuous scheduler's counter cross-check, the bandwidth pipe's
+dual-accounting ledger, and the rest below):
 
 * each invariant is a checker method on :class:`SimSanitizer`
   (scheduler core-accounting, pipe byte conservation, YARN

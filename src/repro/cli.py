@@ -101,55 +101,44 @@ class Command:
 
 # ----------------------------------------------------------------- runners
 def _figure5() -> None:
-    from repro.experiments import (
-        run_figure5_pilot_startup,
-        run_figure5_unit_startup,
-    )
+    from repro.experiments.figure5 import split_rows
+    from repro.experiments.sweeps import run_sweep
     from repro.experiments.tables import figure5_report
-    print(figure5_report(run_figure5_pilot_startup(),
-                         run_figure5_unit_startup()))
+    run = run_sweep("figure5", jobs=1)
+    print(figure5_report(*split_rows(run.rows())))
 
 
 def _figure6(quick: bool) -> None:
-    from repro.experiments import run_figure6
+    from repro.experiments.figure6 import KMeansRow
+    from repro.experiments.sweeps import run_sweep
     from repro.experiments.tables import figure6_report
-    kwargs = {}
-    if quick:
-        kwargs = {"scenarios": [(10_000, 5_000), (1_000_000, 50)],
-                  "task_counts": [8, 32]}
-    print(figure6_report(run_figure6(**kwargs)))
+    run = run_sweep("figure6", jobs=1, quick=quick)
+    print(figure6_report([KMeansRow(**r) for r in run.rows()]))
 
 
 def _ablations() -> None:
-    from repro.experiments.ablations import (
-        run_am_reuse,
-        run_integration_level,
-        run_spark_deploy_mode,
-    )
+    from repro.experiments.sweeps import run_sweep
     from repro.experiments.tables import format_table
-    a1 = run_integration_level()
+    run = run_sweep("ablations", jobs=1)
+    a1, a2, a3 = (result["rows"] for result in run.results)
     print("A1 — YARN integration level (CU startup)")
     print(format_table(["wiring", "CU startup (s)", "WAN round-trips"],
-                       [(r.wiring, r.unit_startup, r.wan_roundtrips)
-                        for r in a1]))
-    a2 = run_spark_deploy_mode()
+                       [(r["wiring"], r["unit_startup"],
+                         r["wan_roundtrips"]) for r in a1]))
     print("\nA2 — Spark deployment mode (cluster-ready time)")
     print(format_table(["mode", "cluster ready (s)", "frameworks"],
-                       [(r.mode, r.cluster_ready, r.frameworks_started)
-                        for r in a2]))
-    a3 = run_am_reuse()
+                       [(r["mode"], r["cluster_ready"],
+                         r["frameworks_started"]) for r in a2]))
     print("\nA3 — Application Master re-use (warm CU startup)")
     print(format_table(["mode", "warm CU startup (s)"],
-                       [(r.mode, r.warm_unit_startup) for r in a3]))
+                       [(r["mode"], r["warm_unit_startup"]) for r in a3]))
 
 
 def _sensitivity() -> None:
-    from repro.experiments.sensitivity import (
-        crossover_bandwidth,
-        sweep_lustre_bandwidth,
-    )
+    from repro.experiments.sensitivity import crossover_bandwidth, pair_rows
+    from repro.experiments.sweeps import run_sweep
     from repro.experiments.tables import format_table
-    rows = sweep_lustre_bandwidth()
+    rows = pair_rows(run_sweep("sensitivity", jobs=1).rows())
     print("S1 — YARN advantage vs job-visible Lustre bandwidth")
     print(format_table(
         ["lustre share (MB/s)", "RP (s)", "RP-YARN (s)", "advantage (%)"],

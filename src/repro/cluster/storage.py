@@ -22,7 +22,7 @@ algebra reproduces the full-scan model's completion times; when the
 environment's :class:`~repro.analysis.sanitizer.SimSanitizer` is
 installed (``REPRO_SANITIZE=1`` / ``Session(sanitize=True)``) the
 credits are cross-checked against a shadow full-scan ledger on every
-state change (``debug=True`` is the deprecated per-instance alias).
+state change.
 
 :class:`StorageVolume` couples a pipe with a capacity counter and a
 flat per-operation latency (metadata round-trip for Lustre, seek for
@@ -32,12 +32,10 @@ local disks).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.sanitizer import SimSanitizer
 from repro.sim.engine import Environment, Event, SimulationError
 
 #: Convenience byte-size constants.
@@ -67,8 +65,7 @@ class SharedBandwidthPipe:
 
     def __init__(self, env: Environment, aggregate_bw: float,
                  per_stream_bw: Optional[float] = None,
-                 latency: float = 0.0, name: str = "pipe",
-                 debug: bool = False, lazy_wakes: bool = False):
+                 latency: float = 0.0, name: str = "pipe"):
         if aggregate_bw <= 0:
             raise SimulationError("aggregate bandwidth must be positive")
         if per_stream_bw is not None and per_stream_bw <= 0:
@@ -87,24 +84,8 @@ class SharedBandwidthPipe:
         self._next_id = 0
         self._last_update = env.now
         self._wake_generation = 0
-        #: Lazy-wake mode: keep a pending wake alive across state
-        #: changes instead of abandoning it, trading bit-exact replay
-        #: of the historical completion timestamps (same math, different
-        #: floating-point evaluation points) for an event queue free of
-        #: stale wake timeouts under churn.  See README "Performance".
-        self.lazy_wakes = bool(lazy_wakes)
-        self._wake_serial = 0      # id of the latest *scheduled* wake
-        self._wake_due = float("inf")  # fire time of the pending wake
-        if debug:
-            warnings.warn(
-                "SharedBandwidthPipe(debug=True) is deprecated; install "
-                "the SimSanitizer instead (REPRO_SANITIZE=1 or "
-                "Session(sanitize=True))", DeprecationWarning,
-                stacklevel=2)
-        self.debug = bool(debug)
-        self._own_sanitizer = SimSanitizer(env) if debug else None
         #: Shadow full-scan ledger (tid -> remaining), maintained while
-        #: checking is active (sanitizer installed or debug=True).
+        #: the environment's sanitizer is installed.
         self._shadow: Dict[int, float] = {}
         #: Whether the shadow ledger covers every in-flight transfer.
         #: A sanitizer installed mid-flight starts unsynced; the ledger
@@ -161,7 +142,7 @@ class SharedBandwidthPipe:
         # whole pipe in one progress domain.
         work = float(nbytes) + self.latency * self._single_stream_rate()
         _heappush(self._heap, (self._virtual + work, tid, event))
-        if self.env.sanitizer is not None or self._own_sanitizer is not None:
+        if self.env.sanitizer is not None:
             if not self._shadow_synced:
                 self._sync_shadow()
             self._shadow[tid] = work
@@ -233,7 +214,7 @@ class SharedBandwidthPipe:
             return
         advanced = self.current_rate() * dt
         self._virtual += advanced
-        checker = self.env.sanitizer or self._own_sanitizer
+        checker = self.env.sanitizer
         if checker is not None:
             if self._shadow_synced:
                 for tid in self._shadow:
@@ -248,15 +229,6 @@ class SharedBandwidthPipe:
                 self._shadow.clear()
             self._shadow_synced = False
 
-    def _debug_check(self) -> None:
-        """Deprecated alias for the SimSanitizer pipe checker."""
-        warnings.warn(
-            "SharedBandwidthPipe._debug_check is deprecated; use "
-            "SimSanitizer.check_pipe", DeprecationWarning, stacklevel=2)
-        if not self._shadow_synced:
-            self._sync_shadow()
-        (self.env.sanitizer or SimSanitizer(self.env)).check_pipe(self)
-
     def _reschedule(self) -> None:
         """Schedule a wake-up at the earliest projected completion."""
         self._wake_generation += 1
@@ -266,10 +238,6 @@ class SharedBandwidthPipe:
             self._virtual = 0.0
             self._shadow.clear()
             self._shadow_synced = True
-            self._wake_due = float("inf")
-            return
-        if self.lazy_wakes:
-            self._reschedule_lazy()
             return
         generation = self._wake_generation
         rate = self.current_rate()
@@ -301,60 +269,6 @@ class SharedBandwidthPipe:
 
         timeout.callbacks.append(_on_wake)
 
-    def _reschedule_lazy(self) -> None:
-        """Lazy-wake scheduling: reuse the pending wake when possible.
-
-        The exact path abandons its pending wake on *every* state change
-        (the generation guard), so under churn the event queue fills
-        with stale timeouts — the measured pipe-churn falloff at 1k+
-        streams.  Here a state change keeps the pending wake if it fires
-        no later than the new earliest projected completion: an early
-        wake settles, completes nothing, and reschedules itself at the
-        then-correct time.  The fair-share *math* is unchanged (the
-        sanitizer's shadow ledger still passes); only the floating-point
-        evaluation points of completion timestamps move, which is why
-        this mode is opt-in rather than the default (bit-exact replay of
-        committed traces pins the exact path).
-        """
-        rate = self.current_rate()
-        min_remaining = self._heap[0][0] - self._virtual
-        delay = max(0.0, min_remaining / rate)
-        due = self.env.now + delay
-        if due >= self._wake_due:
-            return  # the pending wake fires first and will resettle
-        generation = self._wake_generation
-        self._wake_serial += 1
-        serial = self._wake_serial
-        self._wake_due = due
-        threshold = self._virtual + min_remaining * (1 + 1e-12)
-        timeout = self.env.timeout(delay)
-
-        def _on_wake(_event):
-            if serial != self._wake_serial:
-                return  # superseded by an earlier wake
-            self._wake_due = float("inf")
-            self._settle()
-            if generation == self._wake_generation:
-                # No state change since scheduling: the heap minimum is
-                # exactly done at this instant; complete it by fiat as
-                # the exact path does.
-                floor = threshold
-                settled = self._virtual + 1e-9
-                if settled > floor:
-                    floor = settled
-            else:
-                # State changed under the wake: only complete what the
-                # settled virtual clock has actually caught up to.
-                floor = self._virtual + 1e-9
-            heap = self._heap
-            while heap and heap[0][0] <= floor:
-                _, tid, event = _heappop(heap)
-                self._shadow.pop(tid, None)
-                event.succeed()
-            self._reschedule()
-
-        timeout.callbacks.append(_on_wake)
-
 
 class StorageVolume:
     """A storage tier: bandwidth pipe + capacity ledger.
@@ -365,13 +279,12 @@ class StorageVolume:
     pipe transfer (one latency charge, one event).
     """
 
-    def __init__(self, env: Environment, spec: StorageSpec,
-                 debug: bool = False, lazy_wakes: bool = False):
+    def __init__(self, env: Environment, spec: StorageSpec):
         self.env = env
         self.spec = spec
         self.pipe = SharedBandwidthPipe(
             env, spec.aggregate_bw, spec.per_stream_bw, spec.latency,
-            name=spec.name, debug=debug, lazy_wakes=lazy_wakes)
+            name=spec.name)
         self.used = 0.0
         self.read_bytes = 0.0
         self.write_bytes = 0.0

@@ -15,56 +15,11 @@ This is the paper's primary contribution, reproduced in full:
   Application Master (one YARN app per Compute-Unit, optional AM
   re-use).
 
-.. deprecated::
-    Importing the public classes from ``repro.core`` is deprecated;
-    use :mod:`repro.api`, the unified facade::
+The public classes are imported from :mod:`repro.api`, the unified
+facade::
 
-        from repro.api import Session, ComputeUnitDescription
+    from repro.api import Session, ComputeUnitDescription
 
-    The package-level names below stay importable behind
-    :class:`DeprecationWarning` aliases (submodule paths such as
-    ``repro.core.session`` are unaffected).
+This package holds their home submodules (``repro.core.session`` and
+so on) and exports no names of its own.
 """
-
-from __future__ import annotations
-
-import importlib
-import warnings
-
-#: name -> home module, for the deprecated package-level aliases.
-_ALIASES = {
-    "AgentConfig": "repro.core.description",
-    "ComputeDataService": "repro.core.data",
-    "ComputePilot": "repro.core.pilot",
-    "ComputePilotDescription": "repro.core.description",
-    "ComputeUnit": "repro.core.unit",
-    "ComputeUnitDescription": "repro.core.description",
-    "Database": "repro.core.db",
-    "DataUnit": "repro.core.data",
-    "DataUnitDescription": "repro.core.data",
-    "PilotData": "repro.core.data",
-    "PilotDataDescription": "repro.core.data",
-    "PilotManager": "repro.core.pilot_manager",
-    "PilotState": "repro.core.states",
-    "Session": "repro.core.session",
-    "UnitManager": "repro.core.unit_manager",
-    "UnitState": "repro.core.states",
-}
-
-__all__ = sorted(_ALIASES)
-
-
-def __getattr__(name: str):
-    home = _ALIASES.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name} from repro.core is deprecated; "
-        f"use 'from repro.api import {name}'",
-        DeprecationWarning, stacklevel=2)
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_ALIASES))

@@ -14,12 +14,10 @@ Two of the paper's schedulers:
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.analysis.sanitizer import SimSanitizer
 from repro.cluster.node import Node
 from repro.sim.engine import Environment, Event, SimulationError
 
@@ -64,30 +62,18 @@ class ContinuousScheduler:
 
     Counter cross-checks run whenever the environment's
     :class:`~repro.analysis.sanitizer.SimSanitizer` is installed
-    (``REPRO_SANITIZE=1`` / ``Session(sanitize=True)``).  The
-    ``debug=True`` kwarg is a deprecated alias that forces the same
-    checks on for this instance alone.
+    (``REPRO_SANITIZE=1`` / ``Session(sanitize=True)``).
     """
 
     def __init__(self, env: Environment, nodes: List[Node],
-                 policy: str = "pack", debug: bool = False):
+                 policy: str = "pack"):
         if not nodes:
             raise SimulationError("scheduler needs nodes")
         if policy not in ("pack", "spread"):
             raise SimulationError(f"unknown placement policy {policy!r}")
-        if debug:
-            warnings.warn(
-                "ContinuousScheduler(debug=True) is deprecated; install "
-                "the SimSanitizer instead (REPRO_SANITIZE=1 or "
-                "Session(sanitize=True))", DeprecationWarning,
-                stacklevel=2)
         self.env = env
         self.nodes = list(nodes)
         self.policy = policy
-        self.debug = bool(debug)
-        #: Per-instance checker used when debug=True forces checks on
-        #: without an installed sanitizer.
-        self._own_sanitizer = SimSanitizer(env) if debug else None
         self._free: Dict[str, int] = {n.name: n.num_cores for n in nodes}
         self._queue: Deque[Tuple[int, Event]] = deque()
         # Capacity totals are maintained incrementally: the node set is
@@ -286,18 +272,10 @@ class ContinuousScheduler:
                 self._waiting -= 1
                 event.succeed(self._carve(cores))
         finally:
-            sanitizer = self.env.sanitizer or self._own_sanitizer
+            sanitizer = self.env.sanitizer
             if sanitizer is not None:
                 sanitizer.check_scheduler(self)
             self._report()
-
-    def _debug_check(self) -> None:
-        """Deprecated alias for the SimSanitizer scheduler checker."""
-        warnings.warn(
-            "ContinuousScheduler._debug_check is deprecated; use "
-            "SimSanitizer.check_scheduler", DeprecationWarning,
-            stacklevel=2)
-        (self.env.sanitizer or SimSanitizer(self.env)).check_scheduler(self)
 
     def _spread_order(self) -> List[Node]:
         """Nodes by descending free cores, memoised until occupancy moves.

@@ -80,8 +80,7 @@ class ServiceState:
 
     The first-generation Pilot-API exposed six string states; both the
     :mod:`repro.pilot_api` facade and the :mod:`repro.service` query
-    surface report them.  This is the single source of truth — the
-    facade's old ``State`` class is a deprecation-gated alias.
+    surface report them.  This is the single source of truth.
     """
 
     UNKNOWN = "Unknown"

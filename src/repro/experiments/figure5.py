@@ -17,7 +17,7 @@ Paper anchors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from repro.api import ComputeUnitDescription
 from repro.experiments.calibration import agent_config
@@ -46,20 +46,16 @@ PILOT_CASES = [
 ]
 
 
-def run_figure5_pilot_startup(num_nodes: int = 1,
-                              seed: int = 42) -> List[StartupRow]:
-    """Measure every bar of Figure 5's main panel."""
-    rows = []
-    for machine, flavor, lrm, provision in PILOT_CASES:
-        testbed = Testbed(machine, num_nodes=max(num_nodes, 1), seed=seed,
-                          provision_hadoop=provision)
-        pilot, t_submit, t_active = testbed.start_pilot(
-            nodes=num_nodes, agent_config=agent_config(lrm))
-        rows.append(StartupRow(
-            machine=machine, flavor=flavor,
-            pilot_startup=t_active - t_submit,
-            lrm_setup=pilot.agent_info["lrm_setup_seconds"]))
-    return rows
+def run_pilot_startup(machine: str, flavor: str, lrm: str,
+                      provision: bool, seed: int = 42) -> StartupRow:
+    """Measure one bar of Figure 5's main panel on a one-node pilot."""
+    testbed = Testbed(machine, num_nodes=1, seed=seed,
+                      provision_hadoop=provision)
+    pilot, t_submit, t_active = testbed.start_pilot(
+        nodes=1, agent_config=agent_config(lrm))
+    return StartupRow(machine=machine, flavor=flavor,
+                      pilot_startup=t_active - t_submit,
+                      lrm_setup=pilot.agent_info["lrm_setup_seconds"])
 
 
 @dataclass
@@ -79,25 +75,29 @@ UNIT_CASES = [
 ]
 
 
-def run_figure5_unit_startup(samples: int = 3,
-                             seed: int = 42) -> List[UnitStartupRow]:
-    """Measure the inset: CU startup on a warm pilot, averaged over
-    ``samples`` sequential submissions."""
-    rows = []
-    for machine, flavor, lrm in UNIT_CASES:
-        testbed = Testbed(machine, num_nodes=1, seed=seed)
-        testbed.start_pilot(nodes=1, agent_config=agent_config(lrm))
-        startups = []
-        for _ in range(samples):
-            units = testbed.umgr.submit_units(ComputeUnitDescription(
-                executable="/bin/sleep", arguments=("1",),
-                cores=1, cpu_seconds=1.0, memory_mb=1024))
-            testbed.env.run(testbed.umgr.wait_units(units))
-            if units[0].state.value != "Done":
-                raise RuntimeError(
-                    f"unit failed on {machine}/{flavor}: {units[0].stderr}")
-            startups.append(units[0].startup_time)
-        rows.append(UnitStartupRow(
-            machine=machine, flavor=flavor,
-            unit_startup=sum(startups) / len(startups)))
-    return rows
+def run_unit_startup(machine: str, flavor: str, lrm: str,
+                     seed: int = 42) -> UnitStartupRow:
+    """Measure one bar of the inset: CU startup on a warm pilot,
+    averaged over three sequential submissions."""
+    testbed = Testbed(machine, num_nodes=1, seed=seed)
+    testbed.start_pilot(nodes=1, agent_config=agent_config(lrm))
+    startups = []
+    for _ in range(3):
+        units = testbed.umgr.submit_units(ComputeUnitDescription(
+            executable="/bin/sleep", arguments=("1",),
+            cores=1, cpu_seconds=1.0, memory_mb=1024))
+        testbed.env.run(testbed.umgr.wait_units(units))
+        if units[0].state.value != "Done":
+            raise RuntimeError(
+                f"unit failed on {machine}/{flavor}: {units[0].stderr}")
+        startups.append(units[0].startup_time)
+    return UnitStartupRow(machine=machine, flavor=flavor,
+                          unit_startup=sum(startups) / len(startups))
+
+
+def split_rows(rows: List[Dict]) -> Tuple[List[StartupRow],
+                                          List[UnitStartupRow]]:
+    """Rebuild both panels from the row dicts of a ``figure5`` sweep."""
+    pilot_rows = [StartupRow(**r) for r in rows if "pilot_startup" in r]
+    unit_rows = [UnitStartupRow(**r) for r in rows if "unit_startup" in r]
+    return pilot_rows, unit_rows

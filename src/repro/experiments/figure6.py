@@ -17,7 +17,7 @@ benchmark run re-validates numerical correctness alongside timing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -97,22 +97,6 @@ def run_figure6_cell(machine: str, flavor: str, points: int,
                      clusters=clusters, ntasks=ntasks, nodes=nodes,
                      runtime=runtime, lrm_setup=lrm_setup,
                      centroids_ok=ok)
-
-
-def run_figure6(machines: Optional[List[str]] = None,
-                flavors: Optional[List[str]] = None,
-                scenarios=None, task_counts=None,
-                seed: int = 42) -> List[KMeansRow]:
-    """The full Figure 6 grid (36 cells by default)."""
-    rows = []
-    for machine in machines or ["stampede", "wrangler"]:
-        for points, clusters in scenarios or SCENARIOS:
-            for ntasks in task_counts or sorted(TASK_CONFIGS):
-                for flavor in flavors or ["RP", "RP-YARN"]:
-                    rows.append(run_figure6_cell(
-                        machine, flavor, points, clusters, ntasks,
-                        seed=seed))
-    return rows
 
 
 # ------------------------------------------------------- derived metrics

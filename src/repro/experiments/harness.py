@@ -47,12 +47,15 @@ class Testbed:
     __test__ = False  # not a pytest test class despite the Test* name
 
     def __init__(self, machine: str, num_nodes: int, seed: int = 42,
-                 rms_config=None, provision_hadoop: bool = False):
+                 spec: Optional[MachineSpec] = None,
+                 provision_hadoop: bool = False):
+        """``spec`` replaces the ``experiment_machine(machine,
+        num_nodes)`` template, for cells that vary the machine itself."""
         self.env = Environment()
         self.registry = Registry()
         self.site = self.registry.register(Site(
-            self.env, experiment_machine(machine, num_nodes),
-            rms_kind="slurm", rms_config=rms_config or CALIBRATED_RMS))
+            self.env, spec or experiment_machine(machine, num_nodes),
+            rms_kind="slurm", rms_config=CALIBRATED_RMS))
         self.session = Session(self.env, self.registry, seed=seed)
         self.pmgr = PilotManager(self.session)
         self.umgr = UnitManager(self.session)

@@ -19,16 +19,11 @@ import numpy as np
 from repro.analytics.kmeans import run_kmeans_pilot
 from repro.cluster.machine import stampede
 from repro.cluster.storage import StorageSpec
-from repro.api import PilotManager, Session, UnitManager
-from repro.api import ComputePilotDescription, PilotState
 from repro.experiments.calibration import (
     CALIBRATED_KMEANS_COST,
-    CALIBRATED_RMS,
     agent_config,
 )
-from repro.experiments.figure6 import _points_for
-from repro.saga import Registry, Site
-from repro.sim import Environment
+from repro.experiments.harness import Testbed
 
 
 @dataclass
@@ -49,45 +44,32 @@ def _run_cell(lustre_bw: float, flavor: str, points: np.ndarray,
         name="lustre-sweep", aggregate_bw=lustre_bw,
         per_stream_bw=lustre_bw, latency=0.040,
         capacity=spec.shared_fs.capacity))
-    env = Environment()
-    registry = Registry()
-    site = registry.register(Site(env, spec, rms_config=CALIBRATED_RMS))
-    session = Session(env, registry)
-    pmgr, umgr = PilotManager(session), UnitManager(session)
+    testbed = Testbed("stampede", num_nodes=nodes, spec=spec)
     lrm = "yarn" if flavor == "RP-YARN" else "fork"
-    pilot = pmgr.submit_pilot(ComputePilotDescription(
-        resource="slurm://stampede", nodes=nodes, runtime=24 * 60.0,
-        agent_config=agent_config(lrm)))
-    umgr.add_pilots(pilot)
-    env.run(pilot.wait(PilotState.ACTIVE))
+    pilot, _, _ = testbed.start_pilot(nodes=nodes,
+                                      agent_config=agent_config(lrm))
 
     def workload():
         yield from run_kmeans_pilot(
-            umgr, points, clusters, ntasks=ntasks, iterations=2,
+            testbed.umgr, points, clusters, ntasks=ntasks, iterations=2,
             cost=CALIBRATED_KMEANS_COST)
 
-    t0 = env.now
-    env.run(env.process(workload()))
-    span = env.now - t0
+    t0 = testbed.env.now
+    testbed.run(workload())
+    span = testbed.env.now - t0
     setup = pilot.agent_info["lrm_setup_seconds"]
     return span + (setup if flavor == "RP-YARN" else 0.0)
 
 
-def sweep_lustre_bandwidth(
-        bandwidths_mb: Optional[List[float]] = None,
-        points: int = 1_000_000, clusters: int = 50,
-        ntasks: int = 32, nodes: int = 3) -> List[SensitivityRow]:
-    """Run the sweep; returns one row per bandwidth point."""
-    data = _points_for(points, clusters)
-    rows = []
-    for bw_mb in bandwidths_mb or [10, 30, 100, 300]:
-        bw = bw_mb * 1e6
-        rows.append(SensitivityRow(
-            lustre_bw=bw,
-            rp_runtime=_run_cell(bw, "RP", data, clusters, ntasks, nodes),
-            yarn_runtime=_run_cell(bw, "RP-YARN", data, clusters,
-                                   ntasks, nodes)))
-    return rows
+def pair_rows(rows: List[Dict]) -> List[SensitivityRow]:
+    """Pair the per-flavor row dicts of a ``sensitivity`` sweep into
+    one row per bandwidth, in increasing bandwidth order."""
+    runtimes: Dict[float, Dict[str, float]] = {}
+    for r in rows:
+        runtimes.setdefault(r["lustre_bw"], {})[r["flavor"]] = r["runtime"]
+    return [SensitivityRow(lustre_bw=bw, rp_runtime=rt["RP"],
+                           yarn_runtime=rt["RP-YARN"])
+            for bw, rt in sorted(runtimes.items())]
 
 
 def crossover_bandwidth(rows: List[SensitivityRow]) -> Optional[float]:

@@ -223,40 +223,19 @@ def _jsonify(value: Any) -> Any:
 
 
 def _run_figure5_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.api import ComputeUnitDescription
-    from repro.experiments.calibration import agent_config
-    from repro.experiments.figure5 import StartupRow, UnitStartupRow
-    from repro.experiments.harness import Testbed
-
+    from repro.experiments import figure5
     params = dict(cell.params)
     if cell.kind == "pilot-startup":
-        testbed = Testbed(params["machine"], num_nodes=1, seed=cell.seed,
-                          provision_hadoop=params["provision"])
-        pilot, t_submit, t_active = testbed.start_pilot(
-            nodes=1, agent_config=agent_config(params["lrm"]))
-        return [_jsonify(StartupRow(
-            machine=params["machine"], flavor=params["flavor"],
-            pilot_startup=t_active - t_submit,
-            lrm_setup=pilot.agent_info["lrm_setup_seconds"]))]
-    if cell.kind == "unit-startup":
-        samples = params.get("samples", 3)
-        testbed = Testbed(params["machine"], num_nodes=1, seed=cell.seed)
-        testbed.start_pilot(
-            nodes=1, agent_config=agent_config(params["lrm"]))
-        startups = []
-        for _ in range(samples):
-            units = testbed.umgr.submit_units(ComputeUnitDescription(
-                executable="/bin/sleep", arguments=("1",),
-                cores=1, cpu_seconds=1.0, memory_mb=1024))
-            testbed.env.run(testbed.umgr.wait_units(units))
-            if units[0].state.value != "Done":
-                raise RuntimeError(
-                    f"unit failed on {cell.key}: {units[0].stderr}")
-            startups.append(units[0].startup_time)
-        return [_jsonify(UnitStartupRow(
-            machine=params["machine"], flavor=params["flavor"],
-            unit_startup=sum(startups) / len(startups)))]
-    raise ValueError(f"unknown figure5 cell kind {cell.kind!r}")
+        row = figure5.run_pilot_startup(
+            params["machine"], params["flavor"], params["lrm"],
+            params["provision"], seed=cell.seed)
+    elif cell.kind == "unit-startup":
+        row = figure5.run_unit_startup(
+            params["machine"], params["flavor"], params["lrm"],
+            seed=cell.seed)
+    else:
+        raise ValueError(f"unknown figure5 cell kind {cell.kind!r}")
+    return [_jsonify(row)]
 
 
 def _run_figure6_cell(cell: SweepCell) -> List[Dict[str, Any]]:
@@ -405,6 +384,10 @@ class SweepRun:
             "cells": [{"key": r["key"], "seed": r["seed"],
                        "rows": r["rows"]} for r in self.results],
         }
+
+    def rows(self) -> List[Dict[str, Any]]:
+        """Every cell's row dicts, flattened in declaration order."""
+        return [row for r in self.results for row in r["rows"]]
 
     def aggregate_json(self) -> str:
         """Canonical JSON of :meth:`aggregate` — byte-comparable."""

@@ -28,11 +28,6 @@ Usage (inside a simulation process)::
 """
 
 from repro.core.states import ServiceState
-from repro.pilot_api.service import (
-    ComputeDataService,
-    PilotComputeService,
-    State,
-)
+from repro.pilot_api.service import ComputeDataService, PilotComputeService
 
-__all__ = ["ComputeDataService", "PilotComputeService", "ServiceState",
-           "State"]
+__all__ = ["ComputeDataService", "PilotComputeService", "ServiceState"]

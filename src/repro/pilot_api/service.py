@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, List, Optional
 
 from repro.core.description import (
@@ -18,45 +17,9 @@ from repro.core.states import (
     COARSE_PILOT_STATES,
     COARSE_UNIT_STATES,
     PilotState,
-    ServiceState,
 )
 from repro.core.unit import ComputeUnit
 from repro.core.unit_manager import UnitManager
-
-
-class _DeprecatedStateMeta(type):
-    """Attribute access on the legacy ``State`` class warns and forwards
-    to :class:`repro.core.states.ServiceState` (same string values)."""
-
-    _CANONICAL = {
-        "Unknown": ServiceState.UNKNOWN,
-        "New": ServiceState.NEW,
-        "Running": ServiceState.RUNNING,
-        "Done": ServiceState.DONE,
-        "Canceled": ServiceState.CANCELED,
-        "Failed": ServiceState.FAILED,
-    }
-
-    def __getattr__(cls, name: str) -> str:
-        value = _DeprecatedStateMeta._CANONICAL.get(name)
-        if value is None:
-            raise AttributeError(
-                f"type object 'State' has no attribute {name!r}")
-        warnings.warn(
-            "repro.pilot_api.State is deprecated; use "
-            "repro.core.states.ServiceState (same string values)",
-            DeprecationWarning, stacklevel=2)
-        return value
-
-
-class State(metaclass=_DeprecatedStateMeta):
-    """Deprecated alias for :class:`repro.core.states.ServiceState`.
-
-    The BigJob facade and the core model each grew their own copy of the
-    coarse state strings; ``ServiceState`` is now the single source of
-    truth.  Accessing ``State.New`` etc. emits a ``DeprecationWarning``
-    and returns the canonical value.
-    """
 
 
 class PilotCompute:

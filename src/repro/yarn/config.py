@@ -39,13 +39,6 @@ class YarnConfig:
     #: LOST and reclaims its containers
     #: (yarn.nm.liveness-monitor.expiry-interval-ms, in beats).
     nm_liveness_heartbeats: int = 3
-    #: Drive all NM heartbeats from one RM-side process instead of one
-    #: process per NM.  At 1k-10k nodes this collapses N pending
-    #: timeouts per beat into one; scheduling opportunities visit NMs
-    #: in registration order, which interleaves differently with
-    #: same-instant events than the per-NM processes do, so the flag is
-    #: off by default to keep existing traces byte-identical.
-    bucketed_heartbeats: bool = False
 
     # --- fault tolerance (yarn.resourcemanager.am.max-attempts et al.) -----
     #: Container (re-)attempts per unit inside the per-unit AM; 1 =

@@ -164,20 +164,6 @@ def test_sanitizer_catches_corrupted_counter():
         env.run(env.process(consume()))
 
 
-def test_debug_kwarg_is_deprecated_but_still_checks():
-    """``debug=True`` warns but keeps the per-instance checks alive."""
-    env, node_list = nodes(1)
-    with pytest.warns(DeprecationWarning, match="debug=True"):
-        sched = ContinuousScheduler(env, node_list, debug=True)
-    sched._free_cores -= 1  # simulate drift
-
-    def consume():
-        yield sched.allocate(1)
-
-    with pytest.raises(InvariantViolation):
-        env.run(env.process(consume()))
-
-
 # ------------------------------------------------------------- yarn
 def make_yarn_sched(num_nodes=1):
     env = Environment()

@@ -1,4 +1,4 @@
-"""The repro.api facade and the deprecated repro.core aliases."""
+"""The repro.api facade, and repro.core as a plain package of submodules."""
 
 import importlib
 import re
@@ -59,17 +59,6 @@ def test_session_telemetry_installs_hub(stack):
     assert session.telemetry is tel
 
 
-def test_core_alias_access_warns_and_resolves():
-    with pytest.warns(DeprecationWarning,
-                      match="from repro.api import Session"):
-        aliased = repro.core.Session
-    assert aliased is Session
-    with pytest.warns(DeprecationWarning):
-        assert repro.core.UnitManager is UnitManager
-    assert sorted(repro.core.__all__) == list(repro.core.__all__)
-    assert "Session" in dir(repro.core)
-
-
 def test_core_submodule_imports_stay_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -83,11 +72,12 @@ def test_core_unknown_attribute_raises():
 
 
 def test_no_deprecated_core_imports_left_in_src():
-    """The migration gate: src/ must import the facade, not the aliases."""
+    """The migration gate: src/ imports the facade's names from
+    repro.api, never from repro.core."""
     src = Path(repro.api.__file__).resolve().parents[1]
     pattern = re.compile(
         r"^\s*from repro\.core import (?P<names>[^(\n]+)$", re.MULTILINE)
-    aliased = set(repro.core.__all__)
+    aliased = set(repro.api.__all__)
     offenders = []
     for path in sorted(src.rglob("*.py")):
         for match in pattern.finditer(path.read_text()):

@@ -11,6 +11,22 @@ def test_figure5_cli(capsys):
     assert "Compute-Unit startup" in out
 
 
+def test_figure5_cli_renders_the_sweep_rows(capsys):
+    """The verb and ``sweep figure5`` are one path: same cells, same
+    per-cell seeds, same table."""
+    from repro.experiments.figure5 import StartupRow, UnitStartupRow
+    from repro.experiments.sweeps import run_sweep
+    from repro.experiments.tables import figure5_report
+
+    rows = [row for result in run_sweep("figure5", jobs=1).results
+            for row in result["rows"]]
+    expected = figure5_report(
+        [StartupRow(**r) for r in rows if "pilot_startup" in r],
+        [UnitStartupRow(**r) for r in rows if "unit_startup" in r])
+    assert main(["figure5"]) == 0
+    assert capsys.readouterr().out == expected + "\n\n"
+
+
 def test_figure6_quick_cli(capsys):
     assert main(["figure6", "--quick"]) == 0
     out = capsys.readouterr().out

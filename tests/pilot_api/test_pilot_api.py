@@ -121,19 +121,6 @@ def test_description_error_is_a_value_error():
         _unit_description_from_dict({"executables": "/bin/date"})
 
 
-def test_state_alias_is_deprecated_but_canonical():
-    from repro.core.states import ServiceState as Canonical
-    from repro.pilot_api import State
-
-    with pytest.warns(DeprecationWarning, match="ServiceState"):
-        value = State.Running
-    assert value == Canonical.RUNNING
-    with pytest.warns(DeprecationWarning):
-        assert State.Done == Canonical.DONE
-    with pytest.raises(AttributeError):
-        State.Bogus
-
-
 def test_pcs_cancel_all(stack):
     env, pcs, cds = make_services(stack)
     a = pcs.create_pilot(dict(PILOT_DICT))
