@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 #: Fault rates swept by the bag scenario (fraction of units poisoned).
 FAULT_RATES = (0.0, 0.25, 0.5)
@@ -71,30 +70,20 @@ class HdfsHealRow:
 def run_chaos_bag(flavor: str = "RP", fault_rate: float = 0.0,
                   ntasks: int = 16, nodes: int = 2,
                   seed: int = 42) -> ChaosBagRow:
-    """A bag of tasks with ``fault_rate`` of them poisoned once each."""
-    from repro.api import (ComputeUnitDescription, RestartPolicy,
-                           UnitManager)
-    from repro.experiments.calibration import agent_config
-    from repro.experiments.harness import Testbed
+    """A bag of tasks with ``fault_rate`` of them poisoned once each:
+    the checkpointable ``bag`` scenario, drained."""
+    from repro.persist import launch
+    return drain_bag(launch("bag", seed=seed, flavor=flavor,
+                            fault_rate=fault_rate, ntasks=ntasks,
+                            nodes=nodes))
 
-    testbed = Testbed("stampede", num_nodes=nodes, seed=seed)
-    policy = RestartPolicy(max_restarts=3, backoff=0.5,
-                           backoff_factor=2.0, backoff_cap=8.0)
-    umgr = UnitManager(testbed.session, restart_policy=policy)
-    testbed.umgr = umgr
-    testbed.start_pilot(
-        nodes=nodes, agent_config=agent_config(_FLAVOR_LRM[flavor]))
-    units = umgr.submit_units([
-        ComputeUnitDescription(cores=1, cpu_seconds=30.0, memory_mb=1024,
-                               name=f"chaos-{i}")
-        for i in range(ntasks)])
-    npoison = round(fault_rate * ntasks)
-    for i in range(npoison):
-        # evenly spread over the bag, deterministically
-        testbed.session.faults.unit_error(
-            units[(i * ntasks) // npoison].uid, times=1)
-    t0 = testbed.env.now
-    testbed.env.run(umgr.wait_units(units))
+
+def drain_bag(session) -> ChaosBagRow:
+    """Run a ``bag`` session — freshly launched or restored from a
+    checkpoint — to completion; the makespan counts from submission."""
+    handles = session.handles
+    umgr, units = handles["umgr"], handles["units"]
+    session.env.run(umgr.wait_units(units))
     finals = [umgr.final_unit(u) for u in units]
     done = sum(1 for u in finals if u.state.value == "Done")
     restarts = sum(umgr._restarts_used.values())
@@ -102,9 +91,10 @@ def run_chaos_bag(flavor: str = "RP", fault_rate: float = 0.0,
         1 for u, f in zip(units, finals, strict=True)
         if f.state.value == "Done" and f.uid != u.uid)
     return ChaosBagRow(
-        flavor=flavor, fault_rate=fault_rate, units=ntasks,
-        poisoned=npoison, restarts=restarts, recovered=recovered,
-        done=done, makespan=testbed.env.now - t0)
+        flavor=handles["flavor"], fault_rate=handles["fault_rate"],
+        units=len(units), poisoned=handles["poisoned"],
+        restarts=restarts, recovered=recovered, done=done,
+        makespan=session.env.now - handles["t_submit"])
 
 
 def run_nm_loss(machine: str = "stampede", ntasks: int = 12,
@@ -190,17 +180,3 @@ def run_hdfs_heal(nodes: int = 4, replication: int = 2, files: int = 4,
         replication=replication, files=files, rf_before=rf_before,
         rf_after_loss=rf_after_loss, rf_restored=rf_restored,
         mttr=mttr_hist.max if mttr_hist.count else -1.0)
-
-
-def run_chaos_cell(kind: str, seed: int,
-                   flavor: str = "RP",
-                   fault_rate: Optional[float] = None):
-    """Dispatch one chaos cell (used by the sweep runner)."""
-    if kind == "bag":
-        return run_chaos_bag(flavor=flavor, fault_rate=fault_rate or 0.0,
-                             seed=seed)
-    if kind == "nm-loss":
-        return run_nm_loss(seed=seed)
-    if kind == "hdfs-heal":
-        return run_hdfs_heal(seed=seed)
-    raise ValueError(f"unknown chaos cell kind {kind!r}")

@@ -17,12 +17,13 @@ benchmark run re-validates numerical correctness alongside timing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.analytics import generate_points, kmeans_reference
 from repro.analytics.kmeans import run_kmeans_pilot
+from repro.cluster.machine import MachineSpec
 from repro.experiments.calibration import (
     CALIBRATED_KMEANS_COST,
     DIM,
@@ -61,17 +62,20 @@ def _points_for(points: int, clusters: int) -> np.ndarray:
 
 
 def run_figure6_cell(machine: str, flavor: str, points: int,
-                     clusters: int, ntasks: int,
-                     seed: int = 42, **agent_overrides) -> KMeansRow:
+                     clusters: int, ntasks: int, seed: int = 42,
+                     spec: Optional[MachineSpec] = None,
+                     **agent_overrides) -> KMeansRow:
     """Run one (machine, runtime, scenario, task-count) cell.
 
-    ``agent_overrides`` are forwarded to the agent configuration —
-    e.g. ``reuse_application_master=True`` to measure the paper's
-    proposed optimization on the real workload.
+    ``spec`` replaces the machine template (see :class:`Testbed`), for
+    the sensitivity grid's varied Lustre share.  ``agent_overrides``
+    are forwarded to the agent configuration — e.g.
+    ``reuse_application_master=True`` to measure the paper's proposed
+    optimization on the real workload.
     """
     nodes = TASK_CONFIGS[ntasks]
     lrm = "yarn" if flavor == "RP-YARN" else "fork"
-    testbed = Testbed(machine, num_nodes=nodes, seed=seed)
+    testbed = Testbed(machine, num_nodes=nodes, seed=seed, spec=spec)
     pilot, _, t_active = testbed.start_pilot(
         nodes=nodes, agent_config=agent_config(lrm, **agent_overrides))
 

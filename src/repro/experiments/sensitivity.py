@@ -12,18 +12,18 @@ use on this machine?" answer the paper's discussion asks for.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-import numpy as np
-
-from repro.analytics.kmeans import run_kmeans_pilot
 from repro.cluster.machine import stampede
 from repro.cluster.storage import StorageSpec
-from repro.experiments.calibration import (
-    CALIBRATED_KMEANS_COST,
-    agent_config,
-)
-from repro.experiments.harness import Testbed
+from repro.experiments.figure6 import run_figure6_cell
+
+#: The testbed seed of every sensitivity cell, whatever the sweep's
+#: root seed: common random numbers, so that only the Lustre bandwidth
+#: and the flavor vary across the grid and the crossover is not blurred
+#: by seed noise.  (Passing the cell seed would also move the grid's
+#: committed digest.)
+TESTBED_SEED = 42
 
 
 @dataclass
@@ -37,28 +37,22 @@ class SensitivityRow:
         return (self.rp_runtime - self.yarn_runtime) / self.rp_runtime
 
 
-def _run_cell(lustre_bw: float, flavor: str, points: np.ndarray,
-              clusters: int, ntasks: int, nodes: int) -> float:
-    spec = stampede(num_nodes=nodes)
+def run_lustre_cell(bw_mb: float, flavor: str,
+                    seed: int) -> Dict[str, Any]:
+    """The Figure 6 cell for 1M points / 50 clusters / 32 tasks on
+    Stampede, with a job-visible Lustre share of ``bw_mb`` MB/s.
+
+    ``seed`` (the cell seed) is deliberately unused: the testbed runs
+    on :data:`TESTBED_SEED`.
+    """
+    bw = bw_mb * 1e6
+    spec = stampede(num_nodes=3)
     spec = replace(spec, shared_fs=StorageSpec(
-        name="lustre-sweep", aggregate_bw=lustre_bw,
-        per_stream_bw=lustre_bw, latency=0.040,
-        capacity=spec.shared_fs.capacity))
-    testbed = Testbed("stampede", num_nodes=nodes, spec=spec)
-    lrm = "yarn" if flavor == "RP-YARN" else "fork"
-    pilot, _, _ = testbed.start_pilot(nodes=nodes,
-                                      agent_config=agent_config(lrm))
-
-    def workload():
-        yield from run_kmeans_pilot(
-            testbed.umgr, points, clusters, ntasks=ntasks, iterations=2,
-            cost=CALIBRATED_KMEANS_COST)
-
-    t0 = testbed.env.now
-    testbed.run(workload())
-    span = testbed.env.now - t0
-    setup = pilot.agent_info["lrm_setup_seconds"]
-    return span + (setup if flavor == "RP-YARN" else 0.0)
+        name="lustre-sweep", aggregate_bw=bw, per_stream_bw=bw,
+        latency=0.040, capacity=spec.shared_fs.capacity))
+    row = run_figure6_cell("stampede", flavor, 1_000_000, 50, 32,
+                           seed=TESTBED_SEED, spec=spec)
+    return {"lustre_bw": bw, "flavor": flavor, "runtime": row.runtime}
 
 
 def pair_rows(rows: List[Dict]) -> List[SensitivityRow]:

@@ -69,6 +69,8 @@ def run_service_fairshare(seed: int = 42, heavy_weight: float = 4.0,
     from repro.experiments.calibration import agent_config
     from repro.experiments.harness import Testbed
 
+    # The row reports a float even when the cell key holds the int 4.
+    heavy_weight = float(heavy_weight)
     testbed = Testbed("stampede", num_nodes=3, seed=seed)
     env = testbed.env
     service = PilotService(testbed.session, ServiceConfig(

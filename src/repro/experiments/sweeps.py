@@ -5,6 +5,10 @@ machine x flavor x scenario x task-count x seed.  This module expresses
 each figure's grid as a flat cell list and fans the cells out over a
 ``concurrent.futures.ProcessPoolExecutor``:
 
+* one table, :func:`cell_table`, maps a cell's (grid, kind) to a plain
+  experiment function, and a cell runs as ``fn(seed=cell.seed,
+  **cell.params)`` — its parameter names are the function's keywords,
+  so there is no per-grid dispatch;
 * every cell carries a deterministic seed derived from the root seed
   and the cell's identity (not its position), so subsetting or
   reordering a grid never shifts another cell's randomness;
@@ -27,7 +31,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 GRIDS = ("figure5", "figure6", "ablations", "sensitivity", "chaos",
          "raptor", "service")
@@ -118,7 +122,11 @@ def ablations_cells(root_seed: int = 42) -> List[SweepCell]:
 def sensitivity_cells(root_seed: int = 42,
                       bandwidths_mb: Optional[Sequence[float]] = None
                       ) -> List[SweepCell]:
-    """Lustre-bandwidth sweep: one cell per (bandwidth, flavor)."""
+    """Lustre-bandwidth sweep: one cell per (bandwidth, flavor).
+
+    The cells run on the pinned ``sensitivity.TESTBED_SEED``, so the
+    rows do not depend on ``root_seed``.
+    """
     return [
         _cell("sensitivity", "lustre-bw", root_seed, bw_mb=bw_mb,
               flavor=flavor)
@@ -175,7 +183,8 @@ def service_cells(root_seed: int = 42,
 
 
 #: Grid name -> builder(root_seed, quick).  ``GRIDS`` (the public list
-#: the CLI exposes) is asserted against this registry in the tests.
+#: the CLI exposes) and :func:`cell_table` are checked against this
+#: registry in the tests.
 _GRID_BUILDERS = {
     "figure5": lambda root_seed, quick: figure5_cells(root_seed),
     "figure6": figure6_cells,
@@ -222,111 +231,36 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
-def _run_figure5_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments import figure5
-    params = dict(cell.params)
-    if cell.kind == "pilot-startup":
-        row = figure5.run_pilot_startup(
-            params["machine"], params["flavor"], params["lrm"],
-            params["provision"], seed=cell.seed)
-    elif cell.kind == "unit-startup":
-        row = figure5.run_unit_startup(
-            params["machine"], params["flavor"], params["lrm"],
-            seed=cell.seed)
-    else:
-        raise ValueError(f"unknown figure5 cell kind {cell.kind!r}")
-    return [_jsonify(row)]
+def cell_table() -> Dict[Tuple[str, str], Callable[..., Any]]:
+    """(grid, kind) -> the cell's function, called as ``fn(seed=...,
+    **params)``: a cell's parameter names are its function's keywords.
 
-
-def _run_figure6_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments.figure6 import run_figure6_cell
-    params = dict(cell.params)
-    row = run_figure6_cell(
-        params["machine"], params["flavor"], params["points"],
-        params["clusters"], params["ntasks"], seed=cell.seed)
-    return [_jsonify(row)]
-
-
-def _run_ablations_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments import ablations
-    runner = {
-        "integration-level": ablations.run_integration_level,
-        "spark-deploy-mode": ablations.run_spark_deploy_mode,
-        "am-reuse": ablations.run_am_reuse,
-    }[cell.kind]
-    rows = runner(seed=cell.seed)
-    return [_jsonify(r) for r in rows]
-
-
-def _run_sensitivity_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments import sensitivity
-    from repro.experiments.figure6 import _points_for
-    params = dict(cell.params)
-    points, clusters, ntasks, nodes = 1_000_000, 50, 32, 3
-    data = _points_for(points, clusters)
-    bw = params["bw_mb"] * 1e6
-    runtime = sensitivity._run_cell(bw, params["flavor"], data, clusters,
-                                    ntasks, nodes)
-    return [{"lustre_bw": bw, "flavor": params["flavor"],
-             "runtime": runtime}]
-
-
-def _run_chaos_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments.chaos import run_chaos_cell
-    params = dict(cell.params)
-    row = run_chaos_cell(cell.kind, seed=cell.seed,
-                         flavor=params.get("flavor", "RP"),
-                         fault_rate=params.get("fault_rate"))
-    return [_jsonify(row)]
-
-
-def _run_raptor_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments import raptor
-    params = dict(cell.params)
-    if cell.kind == "throughput":
-        row = raptor.run_raptor_throughput(
-            params["ntasks"], machine=params["machine"], seed=cell.seed)
-    elif cell.kind == "equivalence":
-        row = raptor.run_raptor_equivalence(
-            params["ntasks"], seed=cell.seed)
-    elif cell.kind == "faults":
-        row = raptor.run_raptor_faults(params["ntasks"], seed=cell.seed)
-    else:
-        raise ValueError(f"unknown raptor cell kind {cell.kind!r}")
-    return [_jsonify(row)]
-
-
-def _run_service_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments import service as service_exp
-    params = dict(cell.params)
-    if cell.kind == "load":
-        row = service_exp.run_service_load(
-            seed=cell.seed, tenants=params["tenants"],
-            sessions_per_tenant=params["sessions_per_tenant"])
-    elif cell.kind == "fairshare":
-        row = service_exp.run_service_fairshare(
-            seed=cell.seed, heavy_weight=float(params["heavy_weight"]))
-    elif cell.kind == "admission":
-        row = service_exp.run_service_admission(
-            seed=cell.seed, max_pending=params["max_pending"])
-    elif cell.kind == "sharded":
-        row = service_exp.run_service_sharded(
-            seed=cell.seed, shards=params["shards"],
-            tenants=params["tenants"])
-    else:
-        raise ValueError(f"unknown service cell kind {cell.kind!r}")
-    return [_jsonify(row)]
-
-
-_CELL_RUNNERS = {
-    "figure5": _run_figure5_cell,
-    "figure6": _run_figure6_cell,
-    "ablations": _run_ablations_cell,
-    "sensitivity": _run_sensitivity_cell,
-    "chaos": _run_chaos_cell,
-    "raptor": _run_raptor_cell,
-    "service": _run_service_cell,
-}
+    Built when called, so importing this module (and the CLI) does not
+    import every experiment.
+    """
+    from repro.experiments import (ablations, chaos, figure5, figure6,
+                                   raptor, sensitivity, service)
+    return {
+        ("figure5", "pilot-startup"): figure5.run_pilot_startup,
+        ("figure5", "unit-startup"): figure5.run_unit_startup,
+        ("figure6", "kmeans"): figure6.run_figure6_cell,
+        ("ablations", "integration-level"):
+            ablations.run_integration_level,
+        ("ablations", "spark-deploy-mode"):
+            ablations.run_spark_deploy_mode,
+        ("ablations", "am-reuse"): ablations.run_am_reuse,
+        ("sensitivity", "lustre-bw"): sensitivity.run_lustre_cell,
+        ("chaos", "bag"): chaos.run_chaos_bag,
+        ("chaos", "nm-loss"): chaos.run_nm_loss,
+        ("chaos", "hdfs-heal"): chaos.run_hdfs_heal,
+        ("raptor", "throughput"): raptor.run_raptor_throughput,
+        ("raptor", "equivalence"): raptor.run_raptor_equivalence,
+        ("raptor", "faults"): raptor.run_raptor_faults,
+        ("service", "load"): service.run_service_load,
+        ("service", "fairshare"): service.run_service_fairshare,
+        ("service", "admission"): service.run_service_admission,
+        ("service", "sharded"): service.run_service_sharded,
+    }
 
 
 def run_cell(cell: SweepCell) -> Dict[str, Any]:
@@ -335,11 +269,13 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
     Top-level and picklable by name, so it doubles as the process-pool
     work function.
     """
+    fn = cell_table()[cell.grid, cell.kind]
     # Host-side wall time of the runner, reported but never fed back
     # into the simulation — results stay seed-deterministic.
     t0 = time.perf_counter()  # simlint: disable=SIM001
-    rows = _CELL_RUNNERS[cell.grid](cell)
+    result = _jsonify(fn(seed=cell.seed, **dict(cell.params)))
     wall = time.perf_counter() - t0  # simlint: disable=SIM001
+    rows = result if isinstance(result, list) else [result]
     return {"key": cell.key, "seed": cell.seed, "rows": rows,
             "wall_seconds": wall, "pid": os.getpid()}
 

@@ -6,10 +6,13 @@ workload* — that is the whole point: the caller advances simulated time
 in slices, checkpointing at the quiescent barriers in between, and a
 restore replays the same recipe in a fresh process.
 
-These built-ins mirror the experiment harness so checkpoints cover the
-full stack the paper exercises: pilot + agent + scheduler state, an
-in-flight bag of units under a restart policy, armed faults, and a
-raptor master/worker overlay with a task stream.
+The built-ins cover the full stack the paper exercises: pilot + agent +
+scheduler state, an in-flight bag of units under a restart policy,
+armed faults, and a raptor master/worker overlay with a task stream.
+``bag`` is not a copy of an experiment but the experiment itself: the
+chaos grid's bag cell *is* this scenario, drained
+(:func:`repro.experiments.chaos.run_chaos_bag`), so a real grid cell
+can be checkpointed mid-flight and restored.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ def bag(seed: int, flavor: str = "RP", fault_rate: float = 0.25,
         ntasks: int = 8, nodes: int = 2):
     """An in-flight bag of tasks with a poisoned fraction.
 
-    The chaos-grid bag cell, stopped right after submission: the pilot
-    is ACTIVE, ``ntasks`` units are queued/executing, ``fault_rate`` of
-    them carry one transient executor error each, and the restart
-    policy that will absorb those errors is armed.  Nothing has
-    drained — the returned session is mid-workload by construction.
+    Stopped right after submission: the pilot is ACTIVE, ``ntasks``
+    units are queued/executing, ``fault_rate`` of them carry one
+    transient executor error each, and the restart policy that will
+    absorb those errors is armed.  Nothing has drained — the returned
+    session is mid-workload by construction; ``session.handles`` holds
+    what :func:`repro.experiments.chaos.drain_bag` needs to finish it.
     """
     from repro.api import (ComputeUnitDescription, RestartPolicy,
                            UnitManager)
@@ -47,11 +51,13 @@ def bag(seed: int, flavor: str = "RP", fault_rate: float = 0.25,
         for i in range(ntasks)])
     npoison = round(fault_rate * ntasks)
     for i in range(npoison):
+        # evenly spread over the bag, deterministically
         testbed.session.faults.unit_error(
             units[(i * ntasks) // npoison].uid, times=1)
     session = testbed.session
-    session.handles["units"] = units
-    session.handles["umgr"] = umgr
+    session.handles.update(
+        umgr=umgr, units=units, t_submit=testbed.env.now, flavor=flavor,
+        fault_rate=fault_rate, poisoned=npoison)
     return session
 
 

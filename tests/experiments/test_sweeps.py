@@ -50,11 +50,48 @@ def test_grid_shapes():
         build_cells("figure99")
 
 
-def test_grids_tuple_matches_builder_registry():
-    """The CLI-facing GRIDS list and the builder registry never drift."""
-    from repro.experiments.sweeps import _CELL_RUNNERS, _GRID_BUILDERS, GRIDS
+def test_every_grid_cell_binds_to_its_cell_table_function():
+    """Every cell of every grid (full and quick) resolves in the cell
+    table and its parameters bind to the function's keywords, so a
+    renamed keyword fails here instead of mid-sweep; every table entry
+    is reached by some grid.  No cell is run."""
+    import inspect
+
+    from repro.experiments.sweeps import _GRID_BUILDERS, GRIDS, cell_table
     assert set(GRIDS) == set(_GRID_BUILDERS)
-    assert set(GRIDS) == set(_CELL_RUNNERS)
+    table = cell_table()
+    reached = set()
+    for grid in GRIDS:
+        for quick in (False, True):
+            for cell in build_cells(grid, root_seed=42, quick=quick):
+                fn = table[cell.grid, cell.kind]
+                inspect.signature(fn).bind(seed=cell.seed,
+                                           **dict(cell.params))
+                reached.add((cell.grid, cell.kind))
+    assert reached == set(table)
+
+
+def test_experiment_index_names_cell_table_functions():
+    """EXPERIMENTS.md's experiment index names the functions the sweep
+    grids really run, and every one of them."""
+    import importlib
+    import re
+    from pathlib import Path
+
+    from repro.experiments.sweeps import cell_table
+    text = (Path(__file__).resolve().parents[2]
+            / "EXPERIMENTS.md").read_text()
+    index = text.split("## Experiment index", 1)[1].split("\n## ", 1)[0]
+    bodies = [line.rsplit("|", 2)[1] for line in index.splitlines()
+              if line.startswith("| ")]
+    named = {name for body in bodies
+             for name in re.findall(r"`(repro\.experiments\.[\w.]+)`",
+                                    body)}
+    functions = set()
+    for name in named:
+        module, attr = name.rsplit(".", 1)
+        functions.add(getattr(importlib.import_module(module), attr))
+    assert functions == set(cell_table().values()), sorted(named)
 
 
 #: One pinned (key, seed) pair per grid: seed derivation shifting —
@@ -152,6 +189,18 @@ def test_explicit_cell_subset_runs_only_those_cells():
     run = run_sweep("figure5", root_seed=42, jobs=1, cells=cells)
     assert len(run.results) == 1
     assert run.results[0]["key"] == cells[0].key
+
+
+def test_sensitivity_rows_do_not_depend_on_root_seed():
+    """The sensitivity cells run on a pinned testbed seed (common random
+    numbers): a different root seed changes the cell seeds, not the
+    rows."""
+    cells = {root: sensitivity_cells(root, bandwidths_mb=[100])
+             for root in (7, 42)}
+    assert [c.seed for c in cells[7]] != [c.seed for c in cells[42]]
+    rows = {root: run_sweep("sensitivity", jobs=1, cells=c).rows()
+            for root, c in cells.items()}
+    assert rows[7] == rows[42]
 
 
 def test_rows_are_plain_json_values():

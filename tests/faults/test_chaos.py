@@ -1,12 +1,17 @@
 """Chaos sweep: grid shape, determinism, and scenario invariants."""
 
-from repro.experiments.chaos import run_chaos_bag, run_nm_loss
+import dataclasses
+
+import pytest
+
+from repro.experiments.chaos import drain_bag, run_chaos_bag, run_nm_loss
 from repro.experiments.sweeps import (
     build_cells,
     chaos_cells,
     run_cell,
     run_sweep,
 )
+from repro.persist import launch, restore
 
 
 def _cell(kind, **params):
@@ -69,3 +74,24 @@ def test_chaos_cell_identical_with_sanitizer_armed(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     sanitized = run_cell(cell)["rows"]
     assert sanitized == plain
+
+
+@pytest.mark.parametrize("offset", [1.0, 45.0, 90.0])
+def test_bag_cell_checkpoint_restore_drain_matches_uninterrupted(
+        tmp_path, offset):
+    """A real grid cell survives a checkpoint: launch the ``bag``
+    scenario with a chaos cell's parameters, checkpoint it ``offset``
+    simulated seconds after submission, restore, drain — the row is
+    the uninterrupted cell's."""
+    cell = _cell("bag", fault_rate=0.25)
+    params = {**dict(cell.params), "ntasks": 16, "nodes": 2}
+    expected = run_chaos_bag(seed=cell.seed, **params)
+    assert run_cell(cell)["rows"] == [dataclasses.asdict(expected)]
+
+    session = launch("bag", seed=cell.seed, **params)
+    session.env.run(until=session.handles["t_submit"] + offset)
+    session.checkpoint(tmp_path / "ckpt")
+    restored = restore(tmp_path / "ckpt")
+    assert restored.env.now == session.env.now
+    assert drain_bag(restored) == expected
+    assert drain_bag(session) == expected
