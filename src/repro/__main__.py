@@ -7,7 +7,8 @@ Usage::
     python -m repro ablations            # A1-A3
     python -m repro sensitivity          # the Lustre-bandwidth sweep
     python -m repro all [--quick]        # everything above
-    python -m repro trace [--output DIR] # one traced K-Means run
+    python -m repro trace figure6 --quick           # list the cells
+    python -m repro trace figure6 --quick --cell 1 --output DIR
     python -m repro sweep figure6 --jobs 4 --output results.json
     python -m repro sweep --list         # list the registered grids
     python -m repro sweep chaos --run-dir runs/c1       # crash-safe
@@ -21,9 +22,11 @@ Usage::
 ``--quick`` restricts Figure 6 to the smallest and largest scenarios
 at 8 and 32 tasks (16 cells instead of 36).
 
-``trace`` runs a single telemetry-enabled K-Means cell and writes
+``trace GRID --cell INDEX`` runs one cell of a sweep grid (``--cell``
+omitted lists the grid's cells) with telemetry on every environment the
+cell builds, prints its rows and per-environment telemetry, and writes
 Chrome ``trace_event`` JSON (Perfetto/chrome://tracing), span, event
-and metrics files — see :mod:`repro.telemetry`.
+and metrics files — see :mod:`repro.telemetry.runner`.
 
 ``sweep`` runs a cell grid — one of ``figure5``, ``figure6``,
 ``ablations``, ``sensitivity``, ``chaos`` (fault injection),

@@ -184,18 +184,27 @@ def _run_all(args: argparse.Namespace) -> int:
 
 
 def _run_trace(args: argparse.Namespace) -> int:
-    from repro.telemetry.runner import format_report, run_traced_kmeans
-    try:
-        run = run_traced_kmeans(
-            machine=args.machine, flavor=args.flavor, points=args.points,
-            clusters=args.clusters, ntasks=args.ntasks,
-            iterations=args.iterations, seed=args.seed,
-            out_dir=args.output)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    from repro.experiments.sweeps import build_cells
+    from repro.telemetry.runner import format_report, trace_cell, write_all
+    cells = build_cells(args.grid, root_seed=args.seed, quick=args.quick)
+    if args.cell is None:
+        print(f"cells of grid {args.grid}:")
+        for index, cell in enumerate(cells):
+            print(f"  {index:>3}  {cell.key}")
+        print(f"\nusage: python -m repro trace {args.grid} --cell INDEX "
+              "[--quick] [--seed N] [--output DIR]")
+        return 0
+    if not 0 <= args.cell < len(cells):
+        print(f"error: --cell {args.cell} is out of range; grid "
+              f"{args.grid!r} has cells 0..{len(cells) - 1}",
+              file=sys.stderr)
         return 2
-    print(format_report(run))
-    return 0 if run.centroids_ok else 1
+    result, traced = trace_cell(cells[args.cell])
+    artifacts = None if args.output is None else \
+        write_all(traced, args.output)
+    print(format_report(result, traced, artifacts))
+    ok = all(row.get("centroids_ok", True) for row in result["rows"])
+    return 0 if ok else 1
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -459,21 +468,23 @@ COMMANDS: Tuple[Command, ...] = (
                     (2, "usage error"))),
     Command(
         name="trace", runner=_run_trace,
-        help="run one telemetry-enabled K-Means cell and export traces",
+        help="run one sweep cell with telemetry on and export traces",
         args=(
-            arg("--machine", default="stampede",
-                choices=["stampede", "wrangler"]),
-            arg("--flavor", default="RP-YARN", choices=["RP", "RP-YARN"],
-                help="plain pilot (fork) or Mode I YARN pilot"),
-            arg("--points", type=int, default=10_000),
-            arg("--clusters", type=int, default=8),
-            arg("--ntasks", type=int, default=8),
-            arg("--iterations", type=int, default=2),
-            arg("--seed", type=int, default=42),
+            arg("grid", choices=list(GRIDS),
+                help="grid holding the cell (see sweep --list)"),
+            arg("--cell", type=int, default=None, metavar="INDEX",
+                help="index of the cell to trace; omit to list the "
+                     "grid's cells"),
+            arg("--quick", action="store_true",
+                help="figure6/chaos/raptor/service: index the reduced "
+                     "grid"),
+            arg("--seed", type=int, default=42,
+                help="root seed; per-cell seeds derive from it"),
             arg("--output", default=None, metavar="DIR",
                 deprecated=("--out",),
                 help="write trace.json / spans.jsonl / events.jsonl / "
-                     "metrics.jsonl here"),
+                     "metrics.jsonl here (one env<i>/ set per "
+                     "environment when the cell builds several)"),
         ),
         exit_codes=((0, "success"), (1, "centroid validation failed"),
                     (2, "usage error"))),

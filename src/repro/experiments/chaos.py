@@ -67,7 +67,7 @@ class HdfsHealRow:
     mttr: float
 
 
-def run_chaos_bag(flavor: str = "RP", fault_rate: float = 0.0,
+def run_chaos_bag(flavor: str = "RP", fault_rate: float = 0.25,
                   ntasks: int = 16, nodes: int = 2,
                   seed: int = 42) -> ChaosBagRow:
     """A bag of tasks with ``fault_rate`` of them poisoned once each:

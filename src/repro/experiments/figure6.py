@@ -64,20 +64,20 @@ def _points_for(points: int, clusters: int) -> np.ndarray:
 def run_figure6_cell(machine: str, flavor: str, points: int,
                      clusters: int, ntasks: int, seed: int = 42,
                      spec: Optional[MachineSpec] = None,
-                     **agent_overrides) -> KMeansRow:
+                     reuse_application_master: bool = False) -> KMeansRow:
     """Run one (machine, runtime, scenario, task-count) cell.
 
     ``spec`` replaces the machine template (see :class:`Testbed`), for
-    the sensitivity grid's varied Lustre share.  ``agent_overrides``
-    are forwarded to the agent configuration — e.g.
-    ``reuse_application_master=True`` to measure the paper's proposed
+    the sensitivity grid's varied Lustre share.
+    ``reuse_application_master=True`` measures the paper's proposed
     optimization on the real workload.
     """
     nodes = TASK_CONFIGS[ntasks]
     lrm = "yarn" if flavor == "RP-YARN" else "fork"
     testbed = Testbed(machine, num_nodes=nodes, seed=seed, spec=spec)
     pilot, _, t_active = testbed.start_pilot(
-        nodes=nodes, agent_config=agent_config(lrm, **agent_overrides))
+        nodes=nodes, agent_config=agent_config(
+            lrm, reuse_application_master=reuse_application_master))
 
     data = _points_for(points, clusters)
     holder: Dict[str, object] = {}

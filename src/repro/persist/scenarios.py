@@ -22,7 +22,7 @@ from repro.persist.checkpoint import scenario
 
 @scenario("bag")
 def bag(seed: int, flavor: str = "RP", fault_rate: float = 0.25,
-        ntasks: int = 8, nodes: int = 2):
+        ntasks: int = 16, nodes: int = 2):
     """An in-flight bag of tasks with a poisoned fraction.
 
     Stopped right after submission: the pilot is ACTIVE, ``ntasks``

@@ -17,6 +17,7 @@ ordering); it is the preferred form on hot paths.
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -367,6 +368,16 @@ class AllOf(Condition):
             self.succeed(self._collect())
 
 
+#: Called with every :class:`Environment` constructed while it is set;
+#: ``None`` (the default) = off.  A context variable rather than a module
+#: global, so setting it (``token = ON_NEW_ENVIRONMENT.set(hook)``, undone
+#: by ``ON_NEW_ENVIRONMENT.reset(token)``) scopes the hook to the caller's
+#: context.  ``python -m repro trace`` uses it to install telemetry on
+#: every environment a sweep cell builds.
+ON_NEW_ENVIRONMENT: ContextVar[Optional[Callable[["Environment"], None]]] \
+    = ContextVar("on_new_environment", default=None)
+
+
 class Environment:
     """The simulation environment: clock + event queue + process spawner.
 
@@ -407,6 +418,9 @@ class Environment:
             )
             if sanitize_enabled():
                 SimSanitizer.install(self)
+        hook = ON_NEW_ENVIRONMENT.get()
+        if hook is not None:
+            hook(self)
 
     @property
     def now(self) -> float:

@@ -1,8 +1,10 @@
-"""The workload runner behind ``python -m repro trace``.
+"""The cell runner behind ``python -m repro trace``.
 
-Runs a K-Means workload (the paper's Figure 6 application) on the
-calibrated testbed with telemetry installed, then writes the run's
-observability artifacts:
+Runs one sweep cell (any grid, any kind — see
+:mod:`repro.experiments.sweeps`) exactly as ``sweep`` does, with
+telemetry installed on every :class:`~repro.sim.engine.Environment` the
+cell constructs, then writes each environment's observability
+artifacts:
 
 * ``trace.json``   — Chrome ``trace_event`` JSON; open in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``;
@@ -11,121 +13,47 @@ observability artifacts:
   container lifecycle, HDFS commits...);
 * ``metrics.jsonl``— counters/gauges/histograms keyed on sim time.
 
-Flavors: ``RP`` (plain pilot, fork backend over Lustre) and
-``RP-YARN`` (Mode I: the agent bootstraps HDFS+YARN on the
-allocation, units run as YARN containers).
+A one-environment cell writes the four files into the output directory
+itself; a cell that builds several environments writes one set per
+environment into ``env0/``, ``env1/``, ... in construction order.
+Telemetry only observes, so the traced rows equal ``run_cell``'s.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
+from repro.telemetry import ProfilerBridge, Telemetry
 
-FLAVORS = ("RP", "RP-YARN")
-
-
-@dataclass
-class TraceRun:
-    """Everything one traced run produced."""
-
-    machine: str
-    flavor: str
-    points: int
-    clusters: int
-    ntasks: int
-    nodes: int
-    runtime: float               # workload span, seconds (sim)
-    lrm_setup: float
-    centroids_ok: bool
-    span_count: int
-    event_count: int
-    metric_names: List[str]
-    phase_means: Dict[str, Optional[float]]
-    peak_concurrency: int
-    artifacts: Dict[str, str] = field(default_factory=dict)
+#: One traced environment: its hub and the bridge subscribed to it
+#: from construction on.
+Traced = Tuple[Telemetry, ProfilerBridge]
 
 
-def run_traced_kmeans(machine: str = "stampede",
-                      flavor: str = "RP-YARN",
-                      points: int = 10_000,
-                      clusters: int = 8,
-                      ntasks: int = 8,
-                      iterations: int = 2,
-                      seed: int = 42,
-                      out_dir: Optional[str] = None) -> TraceRun:
-    """Run one telemetry-enabled K-Means cell; optionally write artifacts.
+def trace_cell(cell) -> Tuple[Dict[str, Any], List[Traced]]:
+    """Run ``cell`` with telemetry on every environment it constructs.
 
-    Raises ``ValueError`` for unknown machines/flavors (the CLI maps
-    that to exit code 2).
+    Returns ``run_cell``'s result and the traced environments in
+    construction order.
     """
-    # Imports are deferred so ``python -m repro trace --help`` stays fast.
     from repro import telemetry
-    from repro.analytics import generate_points, kmeans_reference
-    from repro.analytics.kmeans import run_kmeans_pilot
-    from repro.core import profiler
-    from repro.experiments.calibration import (
-        CALIBRATED_KMEANS_COST,
-        DIM,
-        TASK_CONFIGS,
-        agent_config,
-    )
-    from repro.experiments.harness import MACHINE_TEMPLATES, Testbed
+    from repro.experiments.sweeps import run_cell
+    from repro.sim.engine import ON_NEW_ENVIRONMENT
 
-    if machine not in MACHINE_TEMPLATES:
-        raise ValueError(f"unknown machine {machine!r}; known: "
-                         f"{sorted(MACHINE_TEMPLATES)}")
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; known: "
-                         f"{list(FLAVORS)}")
-    if ntasks < 1 or points < clusters or clusters < 1:
-        raise ValueError("need ntasks >= 1 and points >= clusters >= 1")
+    traced: List[Traced] = []
 
-    nodes = TASK_CONFIGS.get(ntasks, max(1, (ntasks + 7) // 8))
-    lrm = "yarn" if flavor == "RP-YARN" else "fork"
+    def install(env) -> None:
+        tel = telemetry.install(env)
+        traced.append((tel, tel.profiler_bridge()))
 
-    testbed = Testbed(machine, num_nodes=nodes, seed=seed)
-    tel = telemetry.install(testbed.env)
-    bridge = tel.profiler_bridge()
-
-    pilot, _, _ = testbed.start_pilot(
-        nodes=nodes, agent_config=agent_config(lrm))
-
-    data = generate_points(points, clusters, dim=DIM, seed=1234)
-    holder: Dict[str, object] = {}
-
-    def workload():
-        centroids, units = yield from run_kmeans_pilot(
-            testbed.umgr, data, clusters, ntasks=ntasks,
-            iterations=iterations, cost=CALIBRATED_KMEANS_COST)
-        holder["centroids"] = centroids
-
-    t0 = testbed.env.now
-    testbed.run(workload())
-    runtime = testbed.env.now - t0
-
-    expected = kmeans_reference(data, clusters, iterations=iterations)
-    ok = bool(np.allclose(holder["centroids"], expected))
-
-    run = TraceRun(
-        machine=machine, flavor=flavor, points=points, clusters=clusters,
-        ntasks=ntasks, nodes=nodes, runtime=runtime,
-        lrm_setup=pilot.agent_info.get("lrm_setup_seconds", 0.0),
-        centroids_ok=ok,
-        span_count=len(tel.tracer.spans),
-        event_count=len(tel.bus.events),
-        metric_names=tel.metrics.names(),
-        # The profiler fed from the live stream, not handle histories —
-        # the bridge is exercised on every traced run.
-        phase_means=profiler.phase_means(bridge.units()),
-        peak_concurrency=profiler.peak_concurrency(bridge.units()),
-    )
-    if out_dir is not None:
-        run.artifacts = write_artifacts(tel, out_dir)
-    return run
+    token = ON_NEW_ENVIRONMENT.set(install)
+    try:
+        result = run_cell(cell)
+    finally:
+        ON_NEW_ENVIRONMENT.reset(token)
+    return result, traced
 
 
 def write_artifacts(tel, out_dir: str) -> Dict[str, str]:
@@ -148,29 +76,44 @@ def write_artifacts(tel, out_dir: str) -> Dict[str, str]:
     return paths
 
 
-def format_report(run: TraceRun) -> str:
-    """Human-readable summary for the CLI."""
-    lines = [
-        f"trace: {run.flavor} K-Means on {run.machine} "
-        f"({run.points} pts, {run.clusters} clusters, "
-        f"{run.ntasks} tasks on {run.nodes} node(s))",
-        f"  workload span      {run.runtime:9.1f} s"
-        + (f"  (+ {run.lrm_setup:.1f} s Mode I LRM setup)"
-           if run.lrm_setup else ""),
-        f"  centroids valid    {run.centroids_ok}",
-        f"  spans recorded     {run.span_count}",
-        f"  events recorded    {run.event_count}",
-        f"  peak concurrency   {run.peak_concurrency}",
-        "  phase means (s, via live ProfilerBridge):",
-    ]
-    for label, value in run.phase_means.items():
-        shown = "-" if value is None else f"{value:.2f}"
-        lines.append(f"    {label:<10} {shown}")
-    if run.metric_names:
-        lines.append("  metrics: " + ", ".join(run.metric_names))
-    for name, path in run.artifacts.items():
-        lines.append(f"  wrote {name:<8} {path}")
-    if run.artifacts:
-        lines.append("  open trace.json in https://ui.perfetto.dev "
+def write_all(traced: List[Traced], out_dir: str) -> List[Dict[str, str]]:
+    """Write every traced environment's artifacts: into ``out_dir``
+    itself for a one-environment cell, else into ``out_dir/env<i>``."""
+    if len(traced) == 1:
+        return [write_artifacts(traced[0][0], out_dir)]
+    return [write_artifacts(tel, os.path.join(out_dir, f"env{i}"))
+            for i, (tel, _) in enumerate(traced)]
+
+
+def format_report(result: Dict[str, Any], traced: List[Traced],
+                  artifacts: Optional[List[Dict[str, str]]] = None) -> str:
+    """Human-readable summary for the CLI: the cell's rows, then one
+    block per traced environment."""
+    from repro.core import profiler
+
+    lines = [f"trace: {result['key']} (seed {result['seed']}, "
+             f"{len(traced)} environment(s))"]
+    for row in result["rows"]:
+        lines.append("  row " + ", ".join(
+            f"{k}={v}" for k, v in sorted(row.items())))
+    for i, (tel, bridge) in enumerate(traced):
+        env = tel.env
+        units = bridge.units()
+        lines += [
+            f"environment {i}: horizon {env.now:.1f} s, "
+            f"{env.steps} events processed",
+            f"  spans recorded     {len(tel.tracer.spans)}",
+            f"  events recorded    {len(tel.bus.events)}",
+            f"  metrics recorded   {len(tel.metrics.names())}",
+            f"  peak concurrency   {profiler.peak_concurrency(units)}",
+            "  phase means (s, via live ProfilerBridge):",
+        ]
+        for label, value in profiler.phase_means(units).items():
+            shown = "-" if value is None else f"{value:.2f}"
+            lines.append(f"    {label:<10} {shown}")
+        for name, path in (artifacts[i] if artifacts else {}).items():
+            lines.append(f"  wrote {name:<8} {path}")
+    if artifacts:
+        lines.append("open trace.json in https://ui.perfetto.dev "
                      "or chrome://tracing")
     return "\n".join(lines)

@@ -71,6 +71,20 @@ def test_every_grid_cell_binds_to_its_cell_table_function():
     assert reached == set(table)
 
 
+def test_unknown_figure6_cell_parameter_fails_to_bind():
+    """A misspelt extra figure6 parameter fails the binding check
+    instead of reaching the agent configuration mid-sweep."""
+    import inspect
+
+    from repro.experiments.sweeps import _cell, cell_table
+    fn = cell_table()["figure6", "kmeans"]
+    good = build_cells("figure6", quick=True)[0]
+    cell = _cell("figure6", "kmeans", 42, reuse_am=True,
+                 **dict(good.params))
+    with pytest.raises(TypeError):
+        inspect.signature(fn).bind(seed=cell.seed, **dict(cell.params))
+
+
 def test_experiment_index_names_cell_table_functions():
     """EXPERIMENTS.md's experiment index names the functions the sweep
     grids really run, and every one of them."""

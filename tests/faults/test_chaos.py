@@ -76,6 +76,24 @@ def test_chaos_cell_identical_with_sanitizer_armed(monkeypatch):
     assert sanitized == plain
 
 
+def test_bag_scenario_and_chaos_bag_share_defaults():
+    """The ``bag`` scenario and the chaos bag cell default alike, so a
+    chaos cell's own parameters launch exactly the grid's bag."""
+    import inspect
+
+    from repro.persist.scenarios import bag
+
+    def defaults(fn):
+        return {name: p.default
+                for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+
+    assert defaults(bag) == {
+        name: value for name, value in defaults(run_chaos_bag).items()
+        if name != "seed"}
+    assert defaults(bag)["ntasks"] == 16 and defaults(bag)["nodes"] == 2
+
+
 @pytest.mark.parametrize("offset", [1.0, 45.0, 90.0])
 def test_bag_cell_checkpoint_restore_drain_matches_uninterrupted(
         tmp_path, offset):
@@ -84,7 +102,7 @@ def test_bag_cell_checkpoint_restore_drain_matches_uninterrupted(
     simulated seconds after submission, restore, drain — the row is
     the uninterrupted cell's."""
     cell = _cell("bag", fault_rate=0.25)
-    params = {**dict(cell.params), "ntasks": 16, "nodes": 2}
+    params = dict(cell.params)
     expected = run_chaos_bag(seed=cell.seed, **params)
     assert run_cell(cell)["rows"] == [dataclasses.asdict(expected)]
 

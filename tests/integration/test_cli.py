@@ -57,12 +57,15 @@ def test_no_command_rejected():
     assert main([]) == 2
 
 
-def test_bad_trace_flavor_rejected():
-    assert main(["trace", "--flavor", "MPI"]) == 2
+def test_trace_unknown_grid_rejected(capsys):
+    assert main(["trace", "figure99", "--cell", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
-def test_bad_trace_values_rejected(capsys):
-    assert main(["trace", "--points", "2", "--clusters", "8"]) == 2
+def test_trace_out_of_range_cell_rejected(capsys):
+    assert main(["trace", "chaos", "--quick", "--cell", "4"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["trace", "chaos", "--quick", "--cell", "-1"]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -1,37 +1,88 @@
-"""End-to-end: a Mode I K-Means run emits the expected telemetry."""
+"""End-to-end: ``trace`` runs sweep cells under telemetry.
+
+The span/metrics/bridge checks run on ``trace figure6 --quick --cell
+1``: the Stampede Mode I (RP-YARN) cell with 10k points, 5k clusters
+and 8 tasks.
+"""
 
 import json
 
 import pytest
 
 from repro.__main__ import main
-from repro.telemetry.runner import run_traced_kmeans
+from repro.experiments.calibration import ITERATIONS
+from repro.experiments.sweeps import GRIDS, build_cells, run_cell
+from repro.telemetry.runner import trace_cell, write_all
 
-POINTS = 1600
 NTASKS = 8
-ITERATIONS = 2
+
+
+def _one_cell_per_kind():
+    """The first quick cell of every (grid, kind), skipping the
+    1M-point K-Means cells."""
+    picked = {}
+    for grid in GRIDS:
+        for index, cell in enumerate(build_cells(grid, quick=True)):
+            if dict(cell.params).get("points") == 1_000_000:
+                continue
+            picked.setdefault((grid, cell.kind), (grid, index))
+    return list(picked.values())
+
+
+@pytest.mark.parametrize("grid,index", _one_cell_per_kind())
+def test_traced_cell_rows_equal_untraced_and_trace_loads(
+        tmp_path, grid, index):
+    cell = build_cells(grid, quick=True)[index]
+    result, traced = trace_cell(cell)
+    assert result["rows"] == run_cell(cell)["rows"]
+    assert traced, "the cell built no environment"
+    artifacts = write_all(traced, str(tmp_path))
+    assert len({paths["trace"] for paths in artifacts}) == len(traced)
+    for paths in artifacts:
+        with open(paths["trace"]) as fh:
+            doc = json.load(fh)
+        assert {e["ph"] for e in doc["traceEvents"]} <= {"X", "M", "i"}
+
+
+def test_multi_environment_cell_writes_one_set_per_environment(tmp_path):
+    """``service/sharded`` builds two environments; neither overwrites
+    the other's artifacts."""
+    index = next(i for i, c in enumerate(build_cells("service", quick=True))
+                 if c.kind == "sharded")
+    assert main(["trace", "service", "--quick", "--cell", str(index),
+                 "--output", str(tmp_path)]) == 0
+    assert not (tmp_path / "trace.json").exists()
+    for sub in ("env0", "env1"):
+        for name in ("trace.json", "spans.jsonl", "events.jsonl",
+                     "metrics.jsonl"):
+            assert (tmp_path / sub / name).exists()
 
 
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
     out = tmp_path_factory.mktemp("trace")
-    run = run_traced_kmeans(machine="stampede", flavor="RP-YARN",
-                            points=POINTS, clusters=4, ntasks=NTASKS,
-                            iterations=ITERATIONS, out_dir=str(out))
-    return run, out
+    cell = build_cells("figure6", quick=True)[1]
+    assert dict(cell.params) == {"clusters": 5_000, "flavor": "RP-YARN",
+                                 "machine": "stampede", "ntasks": NTASKS,
+                                 "points": 10_000}
+    result, envs = trace_cell(cell)
+    assert len(envs) == 1
+    write_all(envs, str(out))
+    return result, envs[0], out
 
 
 def test_run_validates_and_writes_artifacts(traced):
-    run, out = traced
-    assert run.centroids_ok
-    assert run.nodes == 1 and run.lrm_setup > 0       # Mode I setup paid
-    for name in ("trace", "spans", "events", "metrics"):
-        assert (out / {"trace": "trace.json"}.get(name, f"{name}.jsonl")
-                ).exists()
+    result, _, out = traced
+    (row,) = result["rows"]
+    assert row["centroids_ok"]
+    assert row["nodes"] == 1 and row["lrm_setup"] > 0  # Mode I setup paid
+    for name in ("trace.json", "spans.jsonl", "events.jsonl",
+                 "metrics.jsonl"):
+        assert (out / name).exists()
 
 
 def test_span_hierarchy_pilot_unit_container(traced):
-    run, out = traced
+    _, _, out = traced
     spans = [json.loads(line)
              for line in (out / "spans.jsonl").read_text().splitlines()
              if line.strip()]
@@ -68,7 +119,7 @@ def test_span_hierarchy_pilot_unit_container(traced):
 
 
 def test_chrome_trace_artifact_is_valid(traced):
-    run, out = traced
+    _, _, out = traced
     doc = json.loads((out / "trace.json").read_text())
     events = doc["traceEvents"]
     assert {e["ph"] for e in events} <= {"X", "M", "i"}
@@ -80,7 +131,7 @@ def test_chrome_trace_artifact_is_valid(traced):
 
 
 def test_metrics_artifact_has_required_series(traced):
-    run, out = traced
+    _, _, out = traced
     rows = [json.loads(line)
             for line in (out / "metrics.jsonl").read_text().splitlines()
             if line.strip()]
@@ -98,21 +149,44 @@ def test_metrics_artifact_has_required_series(traced):
 
 
 def test_profiler_bridge_feeds_phase_means(traced):
-    run, _ = traced
-    assert set(run.phase_means) == {"queue", "stage_in", "schedule",
-                                    "execute", "stage_out"}
-    assert all(v is not None for v in run.phase_means.values())
-    assert run.peak_concurrency >= 1
+    from repro.core import profiler
+    _, (_, bridge), _ = traced
+    units = bridge.units()
+    phase_means = profiler.phase_means(units)
+    assert set(phase_means) == {"queue", "stage_in", "schedule",
+                                "execute", "stage_out"}
+    assert all(v is not None for v in phase_means.values())
+    assert profiler.peak_concurrency(units) >= 1
 
 
 def test_trace_cli_smoke(tmp_path, capsys):
     out = tmp_path / "cli"
-    code = main(["trace", "--points", "800", "--clusters", "4",
-                 "--ntasks", "8", "--flavor", "RP",
+    code = main(["trace", "figure6", "--quick", "--cell", "0",
                  "--output", str(out)])
     assert code == 0
     text = capsys.readouterr().out
-    assert "centroids valid    True" in text
+    assert "figure6/kmeans(" in text and "centroids_ok=True" in text
+    assert "environment 0: horizon" in text
     assert (out / "trace.json").exists()
     doc = json.loads((out / "trace.json").read_text())
     assert any(e.get("cat") == "unit" for e in doc["traceEvents"])
+
+
+def test_trace_without_cell_lists_the_grid(capsys):
+    assert main(["trace", "chaos", "--quick"]) == 0
+    out = capsys.readouterr().out
+    for index, cell in enumerate(build_cells("chaos", quick=True)):
+        assert f"{index:>3}  {cell.key}" in out
+
+
+def test_failed_validation_exits_one(monkeypatch):
+    from repro.experiments import figure6
+    original = figure6.run_figure6_cell
+
+    def broken(**kwargs):
+        row = original(**kwargs)
+        row.centroids_ok = False
+        return row
+
+    monkeypatch.setattr(figure6, "run_figure6_cell", broken)
+    assert main(["trace", "figure6", "--quick", "--cell", "0"]) == 1
